@@ -9,7 +9,8 @@ statistics.
 """
 
 from .errors import (DimensionError, ModeError, NonCommutingError, ParamRangeError,
-                     SeedError, StateShapeError, TwoSlitError, ZeroConditioningError)
+                     SeedError, StateShapeError, TwoSlitError, ZeroConditioningError,
+                     ZeroDivisorError)
 from .family3 import Family3Params, SolutionBundle3
 from .family4 import Family4Params, SolutionBundle4
 from .fixtures import fixture, fixture_bundle, fixture_names
@@ -22,6 +23,6 @@ __all__ = [
     "BlockVector", "DimensionError", "Family3Params", "Family4Params",
     "ModeError", "NonCommutingError", "ParamRangeError", "ProductSpace",
     "SeedError", "SolutionBundle3", "SolutionBundle4", "StateShapeError",
-    "TwoSlitError", "VerificationReport", "ZeroConditioningError",
+    "TwoSlitError", "VerificationReport", "ZeroConditioningError", "ZeroDivisorError",
     "fixture", "fixture_bundle", "fixture_names", "verify_bundle",
 ]

@@ -221,7 +221,7 @@ def main(argv=None):
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (TwoSlitError, ZeroDivisionError, OSError, KeyError, ValueError,
+    except (TwoSlitError, OSError, KeyError, ValueError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,6 +33,6 @@ class ZeroConditioningError(TwoSlitError):
     """Conditioning event has zero probability on the given state."""
 
 
-# Short aliases used in a few call sites / docs.
-NonCommuting = NonCommutingError
-ZeroConditioning = ZeroConditioningError
+class ZeroDivisorError(TwoSlitError, ZeroDivisionError):
+    """A quantity some formula divides by is zero (a coefficient, or a
+    detector count that conditions a probability)."""

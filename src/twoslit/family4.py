@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ParamRangeError, SeedError
+from .errors import DimensionError, ParamRangeError, SeedError, ZeroDivisorError
 from .linalg import as_cvector
 from .space import ProductSpace, detector_projectors, lift_left, lift_right, slit_projector
 
@@ -81,7 +81,7 @@ class Family4Params:
     def validate(self):
         for name in ("b4", "beta4", "b5", "l5", "beta5", "lambda5"):
             if getattr(self, name) == 0:
-                raise ZeroDivisionError(f"{name} = 0 divides the coefficient formulas")
+                raise ZeroDivisorError(f"{name} = 0 divides the coefficient formulas")
         for name in ("seed_a5", "seed_c5", "seed_e4", "seed_e5",
                      "seed_delta5", "seed_eta5", "seed_theta4", "seed_theta5"):
             if np.linalg.norm(getattr(self, name)) == 0.0:

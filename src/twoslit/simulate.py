@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, StateShapeError
+from .errors import DimensionError, StateShapeError, ZeroDivisorError
 from .linalg import as_cvector
 from .space import ProductSpace, detector_flags
 
@@ -82,7 +82,7 @@ class OutcomeTally:
         flags = np.array(detector_flags(self.space, name), dtype=bool)
         fired = self.counts[:, flags].sum()
         if fired == 0:
-            raise ZeroDivisionError(f"detector {name} never fired")
+            raise ZeroDivisorError(f"detector {name} never fired")
         return float(self.counts[1, flags].sum() / fired)
 
     def to_dict(self):

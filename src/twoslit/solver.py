@@ -185,17 +185,24 @@ def assemble(E_I, psi, sp: ProductSpace, mode=None) -> ConstraintSystem:
 
 def solve(cs: ConstraintSystem):
     """Affine solution set for each target: least-squares particular point
-    plus an orthonormal basis of the homogeneous nullspace."""
-    out = []
-    for tgt in cs.targets:
-        x0, *_ = np.linalg.lstsq(tgt.matrix, tgt.rhs, rcond=None)
-        _, sv, vt = np.linalg.svd(tgt.matrix)
-        smax = sv[0] if sv.size else 0.0
-        rank = int(np.sum(sv > 1e-10 * max(smax, 1.0)))
-        out.append(AffineSolutionSet(
-            name=tgt.name, n=tgt.n, particular=x0, nullspace=vt[rank:],
-            residual=float(np.linalg.norm(tgt.matrix @ x0 - tgt.rhs))))
-    return out
+    plus an orthonormal basis of the homogeneous nullspace.
+
+    All targets share the system matrix ``assemble`` builds, so one
+    least-squares solve over the stacked right-hand sides and one SVD
+    serve every target.
+    """
+    a = cs.targets[0].matrix
+    if any(tgt.matrix is not a for tgt in cs.targets):
+        raise ValueError("solve needs targets that share one system matrix")
+    x0, *_ = np.linalg.lstsq(a, np.column_stack([tgt.rhs for tgt in cs.targets]), rcond=None)
+    x0 = np.ascontiguousarray(x0.T)  # one particular point per row
+    _, sv, vt = np.linalg.svd(a)
+    smax = sv[0] if sv.size else 0.0
+    rank = int(np.sum(sv > 1e-10 * max(smax, 1.0)))
+    return [AffineSolutionSet(
+        name=tgt.name, n=tgt.n, particular=x, nullspace=vt[rank:],
+        residual=float(np.linalg.norm(a @ x - tgt.rhs)))
+        for tgt, x in zip(cs.targets, x0)]
 
 
 def _purify(m, max_iter=200, stop=1e-13):

@@ -5,9 +5,17 @@ and reported with its residual.  Equality conditions pass when the
 residual is at most the equality tolerance; "nonzero" conditions (the
 incompatibility requirements) pass when the residual *exceeds* a separate
 nonzeroness threshold, so they cannot be satisfied by numerical dust.
+
+``verify_bundle`` evaluates the conditions on the factors when every
+operator is bit for bit a lift ``a (x) 1`` or ``1 (x) b``: with
+``rows = psi.reshape(dim_i, dim_ii)``, ``(a (x) 1) psi`` is ``a @ rows``,
+``(1 (x) b) psi`` is ``rows @ b.T``, ``||[a (x) 1, c (x) 1]||_F`` is
+``sqrt(dim_ii) ||[a, c]||_F`` and ``[a (x) 1, 1 (x) b]`` vanishes.  Any
+other bundle goes through the dense checks ``check3``/``check4``.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -37,6 +45,7 @@ class VerificationReport:
     tol: float
     tol_nonzero: float
     correlation_findings: list = field(default_factory=list)
+    method: str = "dense"  # "factored" | "dense": which path produced the entries
 
     @property
     def passed(self):
@@ -56,6 +65,7 @@ class VerificationReport:
             "tol": self.tol,
             "tol_nonzero": self.tol_nonzero,
             "passed": self.passed,
+            "method": self.method,
             "conditions": [
                 {"name": e.name, "kind": e.kind, "residual": e.residual, "pass": e.passed}
                 for e in self.entries
@@ -215,6 +225,104 @@ def _projector_residual(m):
     return max(float(np.max(np.abs(m - m.conj().T))), float(np.max(np.abs(m @ m - m))))
 
 
+_PROPERTIES = ("E", "G", "L")
+
+
+def _lift_core(op, sp, left):
+    """The factor that ``op`` lifts, when ``op`` equals it lifted bit for bit.
+
+    ``left`` selects ``core (x) 1`` (core ``op[::dim_ii, ::dim_ii]``),
+    otherwise ``1 (x) core`` (core ``op[:dim_ii, :dim_ii]``).  Every entry
+    the lift fixes to the core must equal it exactly and every other entry
+    must be zero, so a non-finite entry or a one-ulp change anywhere gives
+    None.
+    """
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (sp.dim, sp.dim):
+        return None
+    n, m = sp.dim_i, sp.dim_ii
+    blocks = op.reshape(n, m, n, m)
+    if left:  # kept[i, j, k] = op[i*m + k, j*m + k]
+        core, kept = op[::m, ::m], np.diagonal(blocks, axis1=1, axis2=3)
+    else:     # kept[k, l, i] = op[i*m + k, i*m + l]
+        core, kept = op[:m, :m], np.diagonal(blocks, axis1=0, axis2=2)
+    if not np.isfinite(core).all() or not (kept == core[:, :, None]).all():
+        return None
+    if np.count_nonzero(op) != np.count_nonzero(kept):
+        return None
+    return core.copy()
+
+
+def _factors(bundle, names):
+    """Name -> core for an exactly lifted bundle with a finite state, else None."""
+    sp = getattr(bundle, "space", None)
+    psi = np.asarray(bundle.psi, dtype=complex)
+    if sp is None or psi.shape != (sp.dim,) or not np.isfinite(psi).all():
+        return None
+    cores = {}
+    for name in names:
+        cores[name] = _lift_core(getattr(bundle, name), sp, name in _PROPERTIES)
+        if cores[name] is None:
+            return None
+    return cores
+
+
+def _factored_catalog(rows, t, y, w=None):
+    """The correlation catalog of ``_catalog``, applied to psi's rows."""
+    norm = np.linalg.norm
+    tp, yp = rows @ t.T, rows @ y.T
+    idents = [
+        ("YT psi = Y psi", norm(tp @ y.T - yp)),
+        ("TY psi = T psi", norm(yp @ t.T - tp)),
+    ]
+    if w is not None:
+        not_wy = yp - yp @ w.T
+        idents += [
+            ("TW psi = 0", norm(rows @ w.T @ t.T)),
+            ("WY psi = 0", norm(yp @ w.T)),
+            ("(1-W)Y psi = 0", norm(not_wy)),
+            ("(1-T)(1-W)Y psi = 0", norm(not_wy - not_wy @ t.T)),
+        ]
+    return idents
+
+
+def _verify_factored(bundle, cores, tol, tol_nonzero):
+    """The verify_bundle report, evaluated on the n x n and m x m factors.
+
+    Labels follow check3/check4: pairwise incompatibility of the
+    properties, each detector tracking its property on psi, pairwise
+    compatibility of the detectors, non-triviality.  The two-detector list
+    ends with the structural C.6, which the exact-lift gate has settled.
+    """
+    t = default_tol() if tol is None else float(tol)
+    tnz = default_nonzero_tol() if tol_nonzero is None else float(tol_nonzero)
+    sp = bundle.space
+    rows = _normalized(bundle.psi).reshape(sp.dim_i, sp.dim_ii)
+    props = [core for name, core in cores.items() if name in _PROPERTIES]
+    dets = [core for name, core in cores.items() if name not in _PROPERTIES]
+    props_psi = [a @ rows for a in props]
+    nontrivial = min(v for a_psi in props_psi
+                     for v in (np.linalg.norm(a_psi), np.linalg.norm(rows - a_psi)))
+    conditions = (
+        [(_nonzero, np.sqrt(sp.dim_ii) * frobenius_norm(commutator(a, b)), tnz)
+         for a, b in combinations(props, 2)]
+        + [(_eq, np.linalg.norm(rows @ d.T - a_psi), t) for d, a_psi in zip(dets, props_psi)]
+        + [(_eq, np.sqrt(sp.dim_i) * frobenius_norm(commutator(a, b)), t)
+           for a, b in combinations(dets, 2)]
+        + [(_nonzero, nontrivial, tnz)]
+    )
+    entries = [check(f"C.{i}", residual, limit)
+               for i, (check, residual, limit) in enumerate(conditions, start=1)]
+    if len(dets) == 2:
+        entries.append(CheckEntry("C.6", "structural", 0.0, True))
+    entries += [_eq(f"projector({name})", _projector_residual(core), t)
+                for name, core in cores.items()]
+    findings = [CorrelationFinding(name, float(res))
+                for name, res in _factored_catalog(rows, *dets) if res <= t]
+    return VerificationReport(entries=entries, tol=t, tol_nonzero=tnz,
+                              correlation_findings=findings, method="factored")
+
+
 def verify_bundle(bundle, tol=None, tol_nonzero=None):
     """Full report for a solution bundle.
 
@@ -222,17 +330,26 @@ def verify_bundle(bundle, tol=None, tol_nonzero=None):
     precondition per operator (Hermiticity + idempotence residual, so a
     tampered operator entry is caught even where the detector identities
     are blind to it) and the correlation scan.
+
+    A bundle whose operators are all exact lifts of their factors is
+    checked on the factors (``method == "factored"``); any other bundle
+    (non-product, tampered, wrongly shaped or non-finite) gets the dense
+    ``check3``/``check4`` evaluation (``method == "dense"``).  Both give
+    the same labels, kinds and pass flags.
     """
-    if getattr(bundle, "W", None) is not None:
-        ops = [("E", bundle.E), ("G", bundle.G), ("L", bundle.L),
-               ("T", bundle.T), ("Y", bundle.Y), ("W", bundle.W)]
+    three = getattr(bundle, "W", None) is not None
+    names = ("E", "G", "L", "T", "Y", "W") if three else ("E", "G", "T", "Y")
+    cores = _factors(bundle, names)
+    if cores is not None:
+        return _verify_factored(bundle, cores, tol, tol_nonzero)
+    if three:
         report = check4(bundle.E, bundle.G, bundle.L, bundle.T, bundle.Y, bundle.W,
                         bundle.psi, tol=tol, tol_nonzero=tol_nonzero)
     else:
-        ops = [("E", bundle.E), ("G", bundle.G), ("T", bundle.T), ("Y", bundle.Y)]
         report = check3(bundle.E, bundle.G, bundle.T, bundle.Y, bundle.psi,
                         tol=tol, tol_nonzero=tol_nonzero, space=bundle.space)
-    for name, op in ops:
-        report.entries.append(_eq(f"projector({name})", _projector_residual(op), report.tol))
+    for name in names:
+        report.entries.append(
+            _eq(f"projector({name})", _projector_residual(getattr(bundle, name)), report.tol))
     report.correlation_findings = detect_correlations(bundle, tol=tol)
     return report

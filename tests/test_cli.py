@@ -175,3 +175,23 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert rc == 0
     payload = json.loads(path.read_text())
     assert sum(map(sum, payload["counts"])) == 1000
+
+
+def test_reports_name_the_verification_method(capsys, tmp_path):
+    path = tmp_path / "b4.json"
+    rc, _, _ = run_cli(capsys, "generate4", "--out", str(path))
+    assert rc == 0
+    assert json.loads(path.read_text())["report"]["method"] == "factored"
+    rc, payload = run_json(capsys, "verify", "--bundle", str(path))
+    assert rc == 0 and payload["method"] == "factored"
+
+
+def test_generate4_zero_divisor_exits_2_without_traceback(capsys, tmp_path):
+    params = jsonio.params4_to_json(fixtures.fixture("dim10").params)
+    params["b4"] = [0.0, 0.0]
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    rc, out, err = run_cli(capsys, "generate4", "--params", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err

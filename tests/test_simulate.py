@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twoslit import fixtures, simulate
-from twoslit.errors import DimensionError, StateShapeError
+from twoslit.errors import DimensionError, StateShapeError, TwoSlitError
 from twoslit.space import ProductSpace
 
 SP3 = ProductSpace(6, (1, 1, 1, 1))
@@ -101,3 +101,12 @@ def test_tally_to_dict_roundtrips_counts(ref3):
     assert d["samples"] == 128 and d["seed"] == 5
     assert sum(map(sum, d["counts"])) == 128
     assert len(d["exact"]) == 2 and len(d["exact"][0]) == 4
+
+
+def test_conditioning_on_a_silent_detector_raises_typed_error():
+    psi = np.zeros(24, dtype=complex)
+    psi[2] = 1.0  # slit support, block 3: outside detector T = A1 + A2
+    tally = simulate.run(simulate.ExperimentSpec(psi=psi, space=SP3, samples=100, seed=1))
+    assert tally.p_detector("T") == 0.0
+    with pytest.raises(TwoSlitError, match="never fired"):
+        tally.p_slit_given_detector("T")

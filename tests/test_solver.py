@@ -136,3 +136,24 @@ def test_three_detector_system_solution(sys4):
         found = solver.filter_projectors(sol, fx.space, draws=0, candidates=[core])
         assert len(found) == 1
         assert np.max(np.abs(found[0] - core)) < 1e-9
+
+
+def test_one_factorisation_matches_per_target_solves(sys4):
+    _, cs, sols = sys4
+    a = cs.targets[0].matrix
+    _, sv, vt = np.linalg.svd(a)
+    for tgt, sol in zip(cs.targets, sols):
+        x0, *_ = np.linalg.lstsq(a, tgt.rhs, rcond=None)
+        assert np.max(np.abs(sol.particular - x0)) < 1e-12
+        ref = vt[vt.shape[0] - sol.nullity:]
+        assert np.max(np.abs(sol.nullspace.T @ sol.nullspace - ref.T @ ref)) < 1e-12
+
+
+def test_solve_rejects_targets_with_separate_matrices(sys4):
+    _, cs, _ = sys4
+    g, el = cs.targets
+    split = solver.ConstraintSystem(
+        space=cs.space, mode=cs.mode, degenerate=cs.degenerate, psi=cs.psi,
+        targets=[g, solver.LinearTarget(el.name, el.n, el.matrix.copy(), el.rhs)])
+    with pytest.raises(ValueError):
+        solver.solve(split)
