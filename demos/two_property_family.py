@@ -21,8 +21,8 @@ print(f"  mu2 = {params.mu2:.4f}  mu3 = {params.mu3:.4f}")
 print(f"  lambda2 = {params.lambda2:.4f}  lambda3 = {params.lambda3:.4f}")
 
 bundle = family3.build(params)
-print(f"\nderived off-diagonal scale u = {bundle.derived_u:.12f}")
-print(f"derived diagonal anchor  q = {bundle.derived_q:.12f}  (= 8/15)")
+print(f"\nderived off-diagonal scale u = {bundle.derived['u']:.12f}")
+print(f"derived diagonal anchor  q = {bundle.derived['q']:.12f}  (= 8/15)")
 
 with np.printoptions(precision=4, suppress=True, linewidth=120):
     print("\ncore projector G_I (6x6, Hermitian idempotent, trace 3):")
@@ -53,4 +53,4 @@ for _ in range(5):
     b = family3.build(family3.Family3Params(p=p, mu2=mu2, mu3=mu3,
                                             lambda2=lam2, lambda3=lam3))
     r = check3(b.E, b.G, b.T, b.Y, b.psi)
-    print(f"  p={p:.4f}  q={b.derived_q:.4f}  all conditions pass: {r.passed}")
+    print(f"  p={p:.4f}  q={b.derived['q']:.4f}  all conditions pass: {r.passed}")

@@ -11,10 +11,10 @@ statistics.
 from .errors import (DimensionError, ModeError, NonCommutingError, ParamRangeError,
                      SeedError, StateShapeError, TwoSlitError, ZeroConditioningError,
                      ZeroDivisorError)
-from .family3 import Family3Params, SolutionBundle3
-from .family4 import Family4Params, SolutionBundle4
+from .family3 import Family3Params
+from .family4 import Family4Params
 from .fixtures import fixture, fixture_bundle, fixture_names
-from .space import BlockVector, ProductSpace
+from .space import BlockVector, ProductSpace, SolutionBundle
 from .verify import VerificationReport, verify_bundle
 
 __version__ = "0.1.0"
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockVector", "DimensionError", "Family3Params", "Family4Params",
     "ModeError", "NonCommutingError", "ParamRangeError", "ProductSpace",
-    "SeedError", "SolutionBundle3", "SolutionBundle4", "StateShapeError",
+    "SeedError", "SolutionBundle", "StateShapeError",
     "TwoSlitError", "VerificationReport", "ZeroConditioningError", "ZeroDivisorError",
     "fixture", "fixture_bundle", "fixture_names", "verify_bundle",
 ]

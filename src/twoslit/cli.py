@@ -40,26 +40,23 @@ def _report_payload(report):
     return payload
 
 
-def cmd_generate3(args):
+def _generate(args, family, params_from_json, default_fixture):
     if args.params:
-        params = jsonio.params3_from_json(jsonio.read_json(args.params))
+        params = params_from_json(jsonio.read_json(args.params))
     else:
-        params = fixture("spin32").params
-    bundle = family3.build(params)
+        params = fixture(default_fixture).params
+    bundle = family.build(params)
     report = verify_bundle(bundle, tol=args.tol)
     _emit(args, {"bundle": jsonio.bundle_to_json(bundle), "report": _report_payload(report)})
     return 0 if report.passed else 1
+
+
+def cmd_generate3(args):
+    return _generate(args, family3, jsonio.params3_from_json, "spin32")
 
 
 def cmd_generate4(args):
-    if args.params:
-        params = jsonio.params4_from_json(jsonio.read_json(args.params))
-    else:
-        params = fixture("dim10").params
-    bundle = family4.build(params)
-    report = verify_bundle(bundle, tol=args.tol)
-    _emit(args, {"bundle": jsonio.bundle_to_json(bundle), "report": _report_payload(report)})
-    return 0 if report.passed else 1
+    return _generate(args, family4, jsonio.params4_from_json, "dim10")
 
 
 def cmd_verify(args):
@@ -77,10 +74,7 @@ def cmd_verify(args):
 
 def cmd_reproduce(args):
     fx = fixture(args.fixture)
-    if args.fixture == "spin32":
-        bundle = family3.build(fx.params)
-    else:
-        bundle = family4.build(fx.params)
+    bundle = (family3 if fx.space.mode == 3 else family4).build(fx.params)
     diffs = {name: float(np.max(np.abs(getattr(bundle, name) - expected)))
              for name, expected in fx.cores.items()}
     diffs["psi"] = float(np.max(np.abs(bundle.psi - fx.psi)))

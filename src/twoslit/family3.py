@@ -9,7 +9,8 @@ with :mod:`twoslit.verify`.
 Free data: two real scalars (p, theta), four complex coefficients
 (mu2, mu3, lambda2, lambda3) and four nonzero seed vectors, one per block
 of H_II.  The remaining scalars u and q are forced by idempotence of G_I
-and are exposed through :func:`derive_u` / :func:`derive_q`.
+and are exposed through :func:`derive_u` / :func:`derive_q` and the
+bundle's ``derived`` dict.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ParamRangeError, SeedError
 from .linalg import as_cvector
-from .space import ProductSpace, detector_projectors, lift_left, lift_right, slit_projector
+from .space import ProductSpace, SolutionBundle, assemble
 
 
 def _unit_seed():
@@ -79,20 +80,6 @@ class Family3Params:
         for name in ("seed_a3", "seed_b2", "seed_gamma3", "seed_delta2"):
             if np.linalg.norm(getattr(self, name)) == 0.0:
                 raise SeedError(f"{name} must be nonzero")
-
-
-@dataclass
-class SolutionBundle3:
-    space: ProductSpace
-    E: np.ndarray
-    G: np.ndarray
-    T: np.ndarray
-    Y: np.ndarray
-    G_I: np.ndarray
-    psi: np.ndarray
-    params: Family3Params
-    derived_u: complex
-    derived_q: float
 
 
 def derive_u(params: Family3Params) -> complex:
@@ -181,21 +168,8 @@ def state(params: Family3Params):
     return psi / np.linalg.norm(psi)
 
 
-def build(params: Family3Params) -> SolutionBundle3:
+def build(params: Family3Params) -> SolutionBundle:
     """Assemble the full bundle (operators lifted to the product space)."""
     g_core, u, q = core_projector(params)
-    sp = params.space()
-    psi = state(params)
-    t2, y2 = detector_projectors(sp)
-    return SolutionBundle3(
-        space=sp,
-        E=lift_left(slit_projector(sp), sp),
-        G=lift_left(g_core, sp),
-        T=lift_right(t2, sp),
-        Y=lift_right(y2, sp),
-        G_I=g_core,
-        psi=psi,
-        params=params,
-        derived_u=u,
-        derived_q=q,
-    )
+    return assemble(params.space(), state(params), g_core,
+                    params=params, derived={"u": u, "q": q})

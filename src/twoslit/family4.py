@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, ParamRangeError, SeedError, ZeroDivisorError
 from .linalg import as_cvector
-from .space import ProductSpace, detector_projectors, lift_left, lift_right, slit_projector
+from .space import ProductSpace, SolutionBundle, assemble
 
 
 def _unit_seed():
@@ -124,6 +124,11 @@ class Family4Coefficients:
     @property
     def m_interval(self):
         return (self.A2 + self.B3) / self.s_a, (self.A2 + self.B3 + 1) / self.s_a
+
+    def derived(self):
+        """The scalars a bundle carries, in wire order."""
+        return {"u": self.u, "z": self.z, "q": self.q, "n": self.n,
+                "l4": self.l4, "lambda4": self.lambda4}
 
 
 def derive_coefficients(params: Family4Params) -> Family4Coefficients:
@@ -316,39 +321,8 @@ def state(params: Family4Params, co: Family4Coefficients = None):
     return psi / np.linalg.norm(psi)
 
 
-@dataclass
-class SolutionBundle4:
-    space: ProductSpace
-    E: np.ndarray
-    G: np.ndarray
-    L: np.ndarray
-    T: np.ndarray
-    Y: np.ndarray
-    W: np.ndarray
-    G_I: np.ndarray
-    L_I: np.ndarray
-    psi: np.ndarray
-    params: Family4Params
-    coefficients: Family4Coefficients
-
-
-def build(params: Family4Params) -> SolutionBundle4:
+def build(params: Family4Params) -> SolutionBundle:
     """Assemble the full bundle (operators lifted to the product space)."""
     g_core, l_core, co = core_projectors(params)
-    sp = params.space()
-    psi = state(params, co)
-    t2, y2, w2 = detector_projectors(sp)
-    return SolutionBundle4(
-        space=sp,
-        E=lift_left(slit_projector(sp), sp),
-        G=lift_left(g_core, sp),
-        L=lift_left(l_core, sp),
-        T=lift_right(t2, sp),
-        Y=lift_right(y2, sp),
-        W=lift_right(w2, sp),
-        G_I=g_core,
-        L_I=l_core,
-        psi=psi,
-        params=params,
-        coefficients=co,
-    )
+    return assemble(params.space(), state(params, co), g_core, l_core,
+                    params=params, derived=co.derived())

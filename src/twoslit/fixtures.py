@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family3 import Family3Params, SolutionBundle3
-from .family4 import Family4Params, SolutionBundle4, derive_coefficients
-from .space import (ProductSpace, detector_projectors, lift_left, lift_right,
-                    slit_projector)
+from .family3 import Family3Params
+from .family4 import Family4Params, derive_coefficients
+from .space import ProductSpace, assemble
 
 _S3 = np.sqrt(3.0)
 _R5 = np.sqrt(5.0)
@@ -129,22 +128,10 @@ def fixture(name) -> Fixture:
 def fixture_bundle(name):
     """A solution bundle assembled from the stored data (not the generators)."""
     fx = fixture(name)
-    sp = fx.space
-    e_full = lift_left(slit_projector(sp), sp)
+    g_core = fx.cores["G_I"]
     if name == "spin32":
-        t2, y2 = detector_projectors(sp)
-        g_core = fx.cores["G_I"]
-        return SolutionBundle3(
-            space=sp, E=e_full, G=lift_left(g_core, sp),
-            T=lift_right(t2, sp), Y=lift_right(y2, sp),
-            G_I=g_core, psi=fx.psi, params=fx.params,
-            derived_u=complex(g_core[0, 3]), derived_q=float(g_core[3, 3].real),
-        )
-    t2, y2, w2 = detector_projectors(sp)
-    g_core, l_core = fx.cores["G_I"], fx.cores["L_I"]
-    return SolutionBundle4(
-        space=sp, E=e_full, G=lift_left(g_core, sp), L=lift_left(l_core, sp),
-        T=lift_right(t2, sp), Y=lift_right(y2, sp), W=lift_right(w2, sp),
-        G_I=g_core, L_I=l_core, psi=fx.psi, params=fx.params,
-        coefficients=derive_coefficients(fx.params),
-    )
+        derived = {"u": complex(g_core[0, 3]), "q": float(g_core[3, 3].real)}
+    else:
+        derived = derive_coefficients(fx.params).derived()
+    return assemble(fx.space, fx.psi, g_core, fx.cores.get("L_I"),
+                    params=fx.params, derived=derived)

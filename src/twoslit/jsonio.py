@@ -10,10 +10,10 @@ import json
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ModeError
 from .family3 import Family3Params
 from .family4 import Family4Params
-from .space import ProductSpace
+from .space import ProductSpace, SolutionBundle
 
 
 def complex_to_pair(z):
@@ -120,60 +120,56 @@ def params4_from_json(d):
     return Family4Params(**kwargs)
 
 
+_KINDS = {3: "two-detector", 4: "three-detector"}  # by space mode
+_PARAMS = {3: (params3_to_json, params3_from_json), 4: (params4_to_json, params4_from_json)}
+_OPERATORS = {3: ("E", "G", "T", "Y"), 4: ("E", "G", "T", "Y", "L", "W")}
+_CORES = {3: ("G_I",), 4: ("G_I", "L_I")}
+
+
 def bundle_to_json(bundle):
-    three_detectors = getattr(bundle, "W", None) is not None
-    out = {
-        "kind": "three-detector" if three_detectors else "two-detector",
+    """Encode a bundle; ``derived`` complex values travel as [re, im] pairs."""
+    mode = bundle.space.mode
+    params_to_json, _ = _PARAMS[mode]
+    derived = bundle.derived
+    return {
+        "kind": _KINDS[mode],
         "space": space_to_json(bundle.space),
         "psi": vector_to_json(bundle.psi),
-        "operators": {"E": matrix_to_json(bundle.E), "G": matrix_to_json(bundle.G),
-                      "T": matrix_to_json(bundle.T), "Y": matrix_to_json(bundle.Y)},
-        "core": {"G_I": matrix_to_json(bundle.G_I)},
+        "operators": {k: matrix_to_json(getattr(bundle, k)) for k in _OPERATORS[mode]},
+        "core": {k: matrix_to_json(getattr(bundle, k)) for k in _CORES[mode]
+                 if getattr(bundle, k) is not None},
+        "params": params_to_json(bundle.params) if bundle.params is not None else None,
+        "derived": None if derived is None else {
+            k: complex_to_pair(v) if isinstance(v, complex) else float(v)
+            for k, v in derived.items()},
     }
-    if three_detectors:
-        out["operators"]["L"] = matrix_to_json(bundle.L)
-        out["operators"]["W"] = matrix_to_json(bundle.W)
-        out["core"]["L_I"] = matrix_to_json(bundle.L_I)
-        out["params"] = params4_to_json(bundle.params) if bundle.params else None
-        co = bundle.coefficients
-        out["derived"] = {
-            "u": complex_to_pair(co.u), "z": complex_to_pair(co.z),
-            "q": co.q, "n": co.n, "l4": complex_to_pair(co.l4),
-            "lambda4": complex_to_pair(co.lambda4),
-        } if co else None
-    else:
-        out["params"] = params3_to_json(bundle.params) if bundle.params else None
-        out["derived"] = {"u": complex_to_pair(bundle.derived_u), "q": bundle.derived_q}
-    return out
 
 
 def bundle_from_json(d):
-    """Rebuild a bundle good enough for verification from its JSON form.
+    """Rebuild a bundle from its JSON form, so that re-encoding it gives d back.
 
-    ``params``/coefficient details are restored when present, otherwise
-    left as None — the condition checks need only the operators, the
-    state, and the space.
+    The space decides which operators are required; other operator keys
+    are ignored.  ``params``, ``derived`` and the cores are None when
+    absent: the condition checks need only the operators, the state and
+    the space.
     """
-    from .family3 import SolutionBundle3
-    from .family4 import SolutionBundle4
-
     sp = space_from_json(d["space"])
-    ops = {k: matrix_from_json(v) for k, v in d["operators"].items()}
-    psi = vector_from_json(d["psi"])
-    core = {k: matrix_from_json(v) for k, v in d.get("core", {}).items()}
-    if d.get("kind") == "three-detector" or "W" in ops:
-        params = params4_from_json(d["params"]) if d.get("params") else None
-        return SolutionBundle4(
-            space=sp, E=ops["E"], G=ops["G"], L=ops["L"], T=ops["T"], Y=ops["Y"],
-            W=ops["W"], G_I=core.get("G_I"), L_I=core.get("L_I"), psi=psi,
-            params=params, coefficients=None)
-    params = params3_from_json(d["params"]) if d.get("params") else None
-    derived = d.get("derived") or {}
-    return SolutionBundle3(
-        space=sp, E=ops["E"], G=ops["G"], T=ops["T"], Y=ops["Y"],
-        G_I=core.get("G_I"), psi=psi, params=params,
-        derived_u=pair_to_complex(derived["u"]) if "u" in derived else None,
-        derived_q=derived.get("q"))
+    kind = d.get("kind")
+    if kind is not None and kind != _KINDS[sp.mode]:
+        raise ModeError(f"bundle kind {kind!r} does not match a {len(sp.partition)}-block space")
+    _, params_from_json = _PARAMS[sp.mode]
+    ops = d["operators"]
+    core = d.get("core", {})
+    derived = d.get("derived")
+    return SolutionBundle(
+        space=sp, psi=vector_from_json(d["psi"]),
+        **{k: matrix_from_json(ops[k]) for k in _OPERATORS[sp.mode]},
+        **{k: matrix_from_json(core[k]) if k in core else None for k in _CORES[sp.mode]},
+        params=params_from_json(d["params"]) if d.get("params") else None,
+        derived=None if derived is None else {
+            k: pair_to_complex(v) if isinstance(v, list) else float(v)
+            for k, v in derived.items()},
+    )
 
 
 def report_to_csv(report):

@@ -51,30 +51,12 @@ def as_cvector(v):
     return w
 
 
-def matmul(a, b):
-    """Matrix product with an explicit conformability check."""
-    a, b = as_cmatrix(a), as_cmatrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def adjoint(a):
-    """Conjugate transpose."""
-    return as_cmatrix(a).conj().T
-
-
 def commutator(a, b):
     """[a, b] = ab - ba for square matrices of equal size."""
     a, b = as_cmatrix(a), as_cmatrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise DimensionError(f"commutator needs equal square shapes, got {a.shape}, {b.shape}")
     return a @ b - b @ a
-
-
-def kron(a, b):
-    """Tensor (Kronecker) product, left factor coarse."""
-    return np.kron(as_cmatrix(a), as_cmatrix(b))
 
 
 def frobenius_norm(a):

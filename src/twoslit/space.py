@@ -121,6 +121,47 @@ def lift_right(b, sp: ProductSpace):
     return np.kron(np.eye(sp.dim_i, dtype=complex), b)
 
 
+@dataclass
+class SolutionBundle:
+    """A solution on the product space: each property (E, G and, with three
+    detectors, L) paired in order with the detector (T, Y, W) that tracks it.
+
+    ``E``..``W`` are the lifted operators, ``G_I``/``L_I`` the H_I cores of
+    G and L.  ``L``, ``W`` and ``L_I`` are None for two detectors.
+    ``derived`` holds the family's derived scalars in wire order.
+    """
+
+    space: ProductSpace
+    psi: np.ndarray
+    E: np.ndarray
+    G: np.ndarray
+    T: np.ndarray
+    Y: np.ndarray
+    G_I: np.ndarray
+    L: np.ndarray = None
+    W: np.ndarray = None
+    L_I: np.ndarray = None
+    params: object = None
+    derived: dict = None
+
+
+def assemble(space, psi, g_core, l_core=None, params=None, derived=None):
+    """The bundle with the slit projector, the cores and the detectors lifted.
+
+    ``l_core`` is required in three-detector mode and refused otherwise.
+    """
+    if (l_core is not None) != (space.mode == 4):
+        raise ModeError(f"L_I is needed exactly in three-detector mode, got mode {space.mode}")
+    three = l_core is not None
+    props = [lift_left(a, space) for a in (slit_projector(space), g_core, l_core) if a is not None]
+    dets = [lift_right(b, space) for b in detector_projectors(space)]
+    return SolutionBundle(
+        space=space, psi=psi, E=props[0], G=props[1], T=dets[0], Y=dets[1], G_I=g_core,
+        L=props[2] if three else None, W=dets[2] if three else None, L_I=l_core,
+        params=params, derived=derived,
+    )
+
+
 @dataclass(frozen=True)
 class BlockVector:
     """A state split by H_I coordinate and H_II block.

@@ -11,7 +11,9 @@ operator is bit for bit a lift ``a (x) 1`` or ``1 (x) b``: with
 ``rows = psi.reshape(dim_i, dim_ii)``, ``(a (x) 1) psi`` is ``a @ rows``,
 ``(1 (x) b) psi`` is ``rows @ b.T``, ``||[a (x) 1, c (x) 1]||_F`` is
 ``sqrt(dim_ii) ||[a, c]||_F`` and ``[a (x) 1, 1 (x) b]`` vanishes.  Any
-other bundle goes through the dense checks ``check3``/``check4``.
+other bundle goes through the dense checks ``check3``/``check4``.  Both
+paths build their entries with one generator over the (property,
+detector) pairs and scan one correlation catalog.
 """
 
 from dataclasses import dataclass, field
@@ -101,6 +103,54 @@ def _nonzero(name, residual, tol_nz):
     return CheckEntry(name, "nonzero", float(residual), bool(residual > tol_nz))
 
 
+def _tolerances(tol, tol_nonzero):
+    t = default_tol() if tol is None else float(tol)
+    tnz = default_nonzero_tol() if tol_nonzero is None else float(tol_nonzero)
+    return t, tnz
+
+
+def _dense_act(op, psi):
+    """op applied to the state, for an operator on the whole product space."""
+    return op @ psi
+
+
+def _factor_act(b, rows):
+    """(1 (x) b) psi for an H_II factor b, with psi given as its rows."""
+    return rows @ b.T
+
+
+def _conditions(props, dets, psi, tol, tol_nonzero, factored=False):
+    """The C.x entries for properties ``props`` paired in order with ``dets``.
+
+    In order: pairwise incompatibility of the properties; each detector
+    commuting with its property and tracking it on psi; pairwise
+    compatibility of the detectors; non-triviality of every property on
+    psi.  Operators are dense on the product space and psi a vector, or,
+    with ``factored``, H_I cores a, H_II cores b and psi as its
+    ``(dim_i, dim_ii)`` rows.  Non-finite residuals propagate, so they fail.
+    """
+    norm = np.linalg.norm
+    if factored:
+        n, m = psi.shape
+        act, props_scale, dets_scale = _factor_act, np.sqrt(m), np.sqrt(n)
+    else:
+        act, props_scale, dets_scale = _dense_act, 1.0, 1.0
+    props_psi = [a @ psi for a in props]
+    conditions = (
+        [(_nonzero, props_scale * frobenius_norm(commutator(a, c)), tol_nonzero)
+         for a, c in combinations(props, 2)]
+        + [(_eq, np.maximum(0.0 if factored else frobenius_norm(commutator(d, a)),
+                            norm(act(d, psi) - a_psi)), tol)
+           for a, d, a_psi in zip(props, dets, props_psi)]
+        + [(_eq, dets_scale * frobenius_norm(commutator(d, e)), tol)
+           for d, e in combinations(dets, 2)]
+        + [(_nonzero, np.min([v for a_psi in props_psi
+                              for v in (norm(a_psi), norm(psi - a_psi))]), tol_nonzero)]
+    )
+    return [check(f"C.{i}", residual, limit)
+            for i, (check, residual, limit) in enumerate(conditions, start=1)]
+
+
 def check3(E, G, T, Y, psi, tol=None, tol_nonzero=None, space=None):
     """Evaluate the five (plus one structural) two-detector conditions.
 
@@ -111,18 +161,10 @@ def check3(E, G, T, Y, psi, tol=None, tol_nonzero=None, space=None):
     C.5  E psi and G psi differ from both 0 and psi (non-triviality);
     C.6  (when ``space`` is given) T and Y act on the right factor only.
     """
-    t = default_tol() if tol is None else float(tol)
-    tnz = default_nonzero_tol() if tol_nonzero is None else float(tol_nonzero)
+    t, tnz = _tolerances(tol, tol_nonzero)
     psi = _normalized(psi)
     _conformable(psi, E, G, T, Y)
-    entries = [
-        _nonzero("C.1", frobenius_norm(commutator(E, G)), tnz),
-        _eq("C.2", max(frobenius_norm(commutator(T, E)), np.linalg.norm(T @ psi - E @ psi)), t),
-        _eq("C.3", max(frobenius_norm(commutator(Y, G)), np.linalg.norm(Y @ psi - G @ psi)), t),
-        _eq("C.4", frobenius_norm(commutator(T, Y)), t),
-        _nonzero("C.5", min(np.linalg.norm(E @ psi), np.linalg.norm(psi - E @ psi),
-                            np.linalg.norm(G @ psi), np.linalg.norm(psi - G @ psi)), tnz),
-    ]
+    entries = _conditions([E, G], [T, Y], psi, t, tnz)
     if space is not None:
         res = max(_right_factor_residual(T, space), _right_factor_residual(Y, space))
         entries.append(CheckEntry("C.6", "structural", float(res), bool(res <= t)))
@@ -146,26 +188,11 @@ def check4(E, G, L, T, Y, W, psi, tol=None, tol_nonzero=None):
     C.7-C.9  pairwise compatibility of T, Y, W;
     C.10     non-triviality of E psi, G psi, L psi.
     """
-    t = default_tol() if tol is None else float(tol)
-    tnz = default_nonzero_tol() if tol_nonzero is None else float(tol_nonzero)
+    t, tnz = _tolerances(tol, tol_nonzero)
     psi = _normalized(psi)
     _conformable(psi, E, G, L, T, Y, W)
-    nontrivial = min(v for target in (E, G, L)
-                     for v in (np.linalg.norm(target @ psi),
-                               np.linalg.norm(psi - target @ psi)))
-    entries = [
-        _nonzero("C.1", frobenius_norm(commutator(E, G)), tnz),
-        _nonzero("C.2", frobenius_norm(commutator(E, L)), tnz),
-        _nonzero("C.3", frobenius_norm(commutator(G, L)), tnz),
-        _eq("C.4", max(frobenius_norm(commutator(T, E)), np.linalg.norm(T @ psi - E @ psi)), t),
-        _eq("C.5", max(frobenius_norm(commutator(Y, G)), np.linalg.norm(Y @ psi - G @ psi)), t),
-        _eq("C.6", max(frobenius_norm(commutator(W, L)), np.linalg.norm(W @ psi - L @ psi)), t),
-        _eq("C.7", frobenius_norm(commutator(T, Y)), t),
-        _eq("C.8", frobenius_norm(commutator(T, W)), t),
-        _eq("C.9", frobenius_norm(commutator(Y, W)), t),
-        _nonzero("C.10", nontrivial, tnz),
-    ]
-    return VerificationReport(entries=entries, tol=t, tol_nonzero=tnz)
+    return VerificationReport(entries=_conditions([E, G, L], [T, Y, W], psi, t, tnz),
+                              tol=t, tol_nonzero=tnz)
 
 
 def conditional_probability(a, b, psi, tol=None):
@@ -188,24 +215,31 @@ def conditional_probability(a, b, psi, tol=None):
     return num / denom
 
 
-# The finite catalog of detection-correlation identities.  Each entry maps
-# an identity label to a residual function of the bundle's operators.
-def _catalog(bundle):
-    T, Y, psi = bundle.T, bundle.Y, _normalized(bundle.psi)
+def _catalog(act, psi, t, y, w=None):
+    """The finite catalog of detection-correlation identities.
+
+    Maps each identity label to its residual on psi, where ``act(d, psi)``
+    applies detector d to a state (``_dense_act`` or ``_factor_act``).
+    """
+    norm = np.linalg.norm
+    tp, yp = act(t, psi), act(y, psi)
     idents = [
-        ("YT psi = Y psi", np.linalg.norm(Y @ (T @ psi) - Y @ psi)),
-        ("TY psi = T psi", np.linalg.norm(T @ (Y @ psi) - T @ psi)),
+        ("YT psi = Y psi", norm(act(y, tp) - yp)),
+        ("TY psi = T psi", norm(act(t, yp) - tp)),
     ]
-    W = getattr(bundle, "W", None)
-    if W is not None:
-        eye = np.eye(W.shape[0])
+    if w is not None:
+        not_wy = yp - act(w, yp)
         idents += [
-            ("TW psi = 0", np.linalg.norm(T @ (W @ psi))),
-            ("WY psi = 0", np.linalg.norm(W @ (Y @ psi))),
-            ("(1-W)Y psi = 0", np.linalg.norm((eye - W) @ (Y @ psi))),
-            ("(1-T)(1-W)Y psi = 0", np.linalg.norm((eye - T) @ ((eye - W) @ (Y @ psi)))),
+            ("TW psi = 0", norm(act(t, act(w, psi)))),
+            ("WY psi = 0", norm(act(w, yp))),
+            ("(1-W)Y psi = 0", norm(not_wy)),
+            ("(1-T)(1-W)Y psi = 0", norm(not_wy - act(t, not_wy))),
         ]
     return idents
+
+
+def _findings(idents, tol):
+    return [CorrelationFinding(name, float(res)) for name, res in idents if res <= tol]
 
 
 def detect_correlations(bundle, tol=None):
@@ -215,9 +249,10 @@ def detect_correlations(bundle, tol=None):
     i.e. the detections are not informationally independent.  An empty
     list certifies the non-correlated branch.
     """
-    t = default_tol() if tol is None else float(tol)
-    return [CorrelationFinding(name, float(res))
-            for name, res in _catalog(bundle) if res <= t]
+    t, _ = _tolerances(tol, None)
+    idents = _catalog(_dense_act, _normalized(bundle.psi), bundle.T, bundle.Y,
+                      getattr(bundle, "W", None))
+    return _findings(idents, t)
 
 
 def _projector_residual(m):
@@ -226,6 +261,7 @@ def _projector_residual(m):
 
 
 _PROPERTIES = ("E", "G", "L")
+_DETECTORS = ("T", "Y", "W")  # paired in order with _PROPERTIES
 
 
 def _lift_core(op, sp, left):
@@ -267,62 +303,6 @@ def _factors(bundle, names):
     return cores
 
 
-def _factored_catalog(rows, t, y, w=None):
-    """The correlation catalog of ``_catalog``, applied to psi's rows."""
-    norm = np.linalg.norm
-    tp, yp = rows @ t.T, rows @ y.T
-    idents = [
-        ("YT psi = Y psi", norm(tp @ y.T - yp)),
-        ("TY psi = T psi", norm(yp @ t.T - tp)),
-    ]
-    if w is not None:
-        not_wy = yp - yp @ w.T
-        idents += [
-            ("TW psi = 0", norm(rows @ w.T @ t.T)),
-            ("WY psi = 0", norm(yp @ w.T)),
-            ("(1-W)Y psi = 0", norm(not_wy)),
-            ("(1-T)(1-W)Y psi = 0", norm(not_wy - not_wy @ t.T)),
-        ]
-    return idents
-
-
-def _verify_factored(bundle, cores, tol, tol_nonzero):
-    """The verify_bundle report, evaluated on the n x n and m x m factors.
-
-    Labels follow check3/check4: pairwise incompatibility of the
-    properties, each detector tracking its property on psi, pairwise
-    compatibility of the detectors, non-triviality.  The two-detector list
-    ends with the structural C.6, which the exact-lift gate has settled.
-    """
-    t = default_tol() if tol is None else float(tol)
-    tnz = default_nonzero_tol() if tol_nonzero is None else float(tol_nonzero)
-    sp = bundle.space
-    rows = _normalized(bundle.psi).reshape(sp.dim_i, sp.dim_ii)
-    props = [core for name, core in cores.items() if name in _PROPERTIES]
-    dets = [core for name, core in cores.items() if name not in _PROPERTIES]
-    props_psi = [a @ rows for a in props]
-    nontrivial = min(v for a_psi in props_psi
-                     for v in (np.linalg.norm(a_psi), np.linalg.norm(rows - a_psi)))
-    conditions = (
-        [(_nonzero, np.sqrt(sp.dim_ii) * frobenius_norm(commutator(a, b)), tnz)
-         for a, b in combinations(props, 2)]
-        + [(_eq, np.linalg.norm(rows @ d.T - a_psi), t) for d, a_psi in zip(dets, props_psi)]
-        + [(_eq, np.sqrt(sp.dim_i) * frobenius_norm(commutator(a, b)), t)
-           for a, b in combinations(dets, 2)]
-        + [(_nonzero, nontrivial, tnz)]
-    )
-    entries = [check(f"C.{i}", residual, limit)
-               for i, (check, residual, limit) in enumerate(conditions, start=1)]
-    if len(dets) == 2:
-        entries.append(CheckEntry("C.6", "structural", 0.0, True))
-    entries += [_eq(f"projector({name})", _projector_residual(core), t)
-                for name, core in cores.items()]
-    findings = [CorrelationFinding(name, float(res))
-                for name, res in _factored_catalog(rows, *dets) if res <= t]
-    return VerificationReport(entries=entries, tol=t, tol_nonzero=tnz,
-                              correlation_findings=findings, method="factored")
-
-
 def verify_bundle(bundle, tol=None, tol_nonzero=None):
     """Full report for a solution bundle.
 
@@ -334,22 +314,35 @@ def verify_bundle(bundle, tol=None, tol_nonzero=None):
     A bundle whose operators are all exact lifts of their factors is
     checked on the factors (``method == "factored"``); any other bundle
     (non-product, tampered, wrongly shaped or non-finite) gets the dense
-    ``check3``/``check4`` evaluation (``method == "dense"``).  Both give
-    the same labels, kinds and pass flags.
+    ``check3``/``check4`` evaluation (``method == "dense"``).  Both paths
+    draw their entries from one condition generator and their findings
+    from one correlation catalog.
     """
     three = getattr(bundle, "W", None) is not None
-    names = ("E", "G", "L", "T", "Y", "W") if three else ("E", "G", "T", "Y")
-    cores = _factors(bundle, names)
-    if cores is not None:
-        return _verify_factored(bundle, cores, tol, tol_nonzero)
-    if three:
-        report = check4(bundle.E, bundle.G, bundle.L, bundle.T, bundle.Y, bundle.W,
-                        bundle.psi, tol=tol, tol_nonzero=tol_nonzero)
+    props = _PROPERTIES if three else _PROPERTIES[:2]
+    dets = _DETECTORS if three else _DETECTORS[:2]
+    cores = _factors(bundle, props + dets)
+    if cores is None:
+        ops = {name: getattr(bundle, name) for name in props + dets}
+        if three:
+            report = check4(*ops.values(), bundle.psi, tol=tol, tol_nonzero=tol_nonzero)
+        else:
+            report = check3(*ops.values(), bundle.psi, tol=tol, tol_nonzero=tol_nonzero,
+                            space=bundle.space)
+        report.correlation_findings = detect_correlations(bundle, tol=tol)
     else:
-        report = check3(bundle.E, bundle.G, bundle.T, bundle.Y, bundle.psi,
-                        tol=tol, tol_nonzero=tol_nonzero, space=bundle.space)
-    for name in names:
-        report.entries.append(
-            _eq(f"projector({name})", _projector_residual(getattr(bundle, name)), report.tol))
-    report.correlation_findings = detect_correlations(bundle, tol=tol)
+        ops = cores
+        t, tnz = _tolerances(tol, tol_nonzero)
+        sp = bundle.space
+        rows = _normalized(bundle.psi).reshape(sp.dim_i, sp.dim_ii)
+        det_cores = [cores[name] for name in dets]
+        entries = _conditions([cores[name] for name in props], det_cores, rows, t, tnz,
+                              factored=True)
+        if not three:  # the exact-lift gate has settled the structural C.6
+            entries.append(CheckEntry("C.6", "structural", 0.0, True))
+        report = VerificationReport(
+            entries=entries, tol=t, tol_nonzero=tnz, method="factored",
+            correlation_findings=_findings(_catalog(_factor_act, rows, *det_cores), t))
+    report.entries += [_eq(f"projector({name})", _projector_residual(op), report.tol)
+                       for name, op in ops.items()]
     return report

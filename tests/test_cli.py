@@ -195,3 +195,24 @@ def test_generate4_zero_divisor_exits_2_without_traceback(capsys, tmp_path):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, operator", [("generate3", "Y"), ("generate4", "W")])
+def test_verify_needs_every_operator_and_ignores_unknown_ones(capsys, tmp_path, command,
+                                                              operator):
+    path = tmp_path / "bundle.json"
+    assert run_cli(capsys, command, "--out", str(path))[0] == 0
+    blob = json.loads(path.read_text())["bundle"]
+    ops = blob["operators"]
+    ops["X"] = ops["E"]
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps(blob))
+    rc, payload = run_json(capsys, "verify", "--bundle", str(extra))
+    assert rc == 0 and payload["passed"] is True
+
+    del ops[operator]
+    missing = tmp_path / "missing.json"
+    missing.write_text(json.dumps(blob))
+    rc, out, err = run_cli(capsys, "verify", "--bundle", str(missing))
+    assert rc == 2
+    assert out == "" and err.startswith("error:")

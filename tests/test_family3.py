@@ -163,7 +163,7 @@ def test_zero_seed_rejected():
 
 def test_build_exposes_derived_values():
     bundle = family3.build(REF_PARAMS)
-    assert bundle.derived_u == pytest.approx(bundle.G_I[0, 3].real, abs=1e-14)
-    assert bundle.derived_q == pytest.approx(bundle.G_I[3, 3].real, abs=1e-14)
+    assert bundle.derived["u"] == pytest.approx(bundle.G_I[0, 3].real, abs=1e-14)
+    assert bundle.derived["q"] == pytest.approx(bundle.G_I[3, 3].real, abs=1e-14)
     assert bundle.E.shape == (24, 24)
     assert projector_rank(bundle.G_I) == 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twoslit import family3, family4, fixtures, jsonio
-from twoslit.errors import DimensionError
+from twoslit.errors import DimensionError, ModeError
 from twoslit.space import ProductSpace
 from twoslit.verify import verify_bundle
 
@@ -83,6 +83,36 @@ def test_bundle_roundtrip_three_detector():
     assert np.array_equal(again.W, bundle.W)
     assert np.array_equal(again.L_I, bundle.L_I)
     assert verify_bundle(again).passed
+
+
+@pytest.mark.parametrize("build", [
+    lambda: family3.build(fixtures.fixture("spin32").params),
+    lambda: family4.build(fixtures.fixture("dim10").params),
+    lambda: fixtures.fixture_bundle("spin32"),
+    lambda: fixtures.fixture_bundle("dim10"),
+], ids=["family3", "family4", "fixture-spin32", "fixture-dim10"])
+def test_bundle_json_round_trip_is_exact(build):
+    bundle = build()
+    blob = json.loads(json.dumps(jsonio.bundle_to_json(bundle)))
+    assert blob["derived"] is not None
+    again = jsonio.bundle_from_json(blob)
+    assert again.derived == bundle.derived
+    assert jsonio.bundle_to_json(again) == blob
+
+
+def test_bundle_without_derived_reencodes_as_null():
+    blob = json.loads(json.dumps(jsonio.bundle_to_json(fixtures.fixture_bundle("spin32"))))
+    del blob["derived"]
+    again = jsonio.bundle_to_json(jsonio.bundle_from_json(blob))
+    assert again["derived"] is None
+    assert {k: v for k, v in again.items() if k != "derived"} == blob
+
+
+def test_bundle_kind_must_match_the_space():
+    blob = jsonio.bundle_to_json(fixtures.fixture_bundle("spin32"))
+    blob["kind"] = "three-detector"
+    with pytest.raises(ModeError):
+        jsonio.bundle_from_json(blob)
 
 
 def test_report_to_csv_layout():

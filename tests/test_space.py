@@ -7,6 +7,7 @@ from twoslit.errors import DimensionError, ModeError
 from twoslit.space import (
     BlockVector,
     ProductSpace,
+    assemble,
     block_projector,
     compose,
     decompose,
@@ -128,3 +129,11 @@ def test_block_vector_part_shapes():
     assert [len(p) for p in row0] == [2, 1, 1, 3]
     assert np.array_equal(row0[0], [0, 1])
     assert np.array_equal(row0[3], [4, 5, 6])
+
+
+def test_assemble_requires_l_core_exactly_in_three_detector_mode():
+    fx3, fx4 = fixtures.fixture("spin32"), fixtures.fixture("dim10")
+    with pytest.raises(ModeError):
+        assemble(fx3.space, fx3.psi, fx3.cores["G_I"], fx3.cores["G_I"])
+    with pytest.raises(ModeError):
+        assemble(fx4.space, fx4.psi, fx4.cores["G_I"])

@@ -1,3 +1,4 @@
+import dataclasses
 import types
 
 import numpy as np
@@ -154,3 +155,19 @@ def test_report_to_dict_shape(b4):
     assert {c["identity"] for c in d["correlations"]} == {
         "(1-W)Y psi = 0", "(1-T)(1-W)Y psi = 0"
     }
+
+
+@pytest.mark.parametrize("name, failing", [
+    ("spin32", ["C.2", "C.3", "C.5"]),
+    ("dim10", ["C.4", "C.5", "C.6", "C.10"]),
+])
+def test_non_finite_state_fails_every_condition_on_psi(name, failing):
+    # Tracking combines a commutator norm with ||D psi - P psi||; a NaN in
+    # the second must not be dropped by the maximum.
+    bundle = fixtures.fixture_bundle(name)
+    psi = bundle.psi.copy()
+    psi[0] = np.nan
+    with np.errstate(invalid="ignore"):
+        report = verify_bundle(dataclasses.replace(bundle, psi=psi))
+    assert report.method == "dense"
+    assert report.failing() == failing

@@ -171,3 +171,31 @@ def test_non_finite_state_falls_back_to_dense():
     psi[0] = np.nan
     with np.errstate(invalid="ignore"):
         assert verify_bundle(dataclasses.replace(bundle, psi=psi)).method == "dense"
+
+
+_LABELS = {
+    "spin32": [("C.1", "nonzero"), ("C.2", "eq"), ("C.3", "eq"), ("C.4", "eq"),
+               ("C.5", "nonzero"), ("C.6", "structural"),
+               ("projector(E)", "eq"), ("projector(G)", "eq"),
+               ("projector(T)", "eq"), ("projector(Y)", "eq")],
+    "dim10": [("C.1", "nonzero"), ("C.2", "nonzero"), ("C.3", "nonzero"),
+              ("C.4", "eq"), ("C.5", "eq"), ("C.6", "eq"), ("C.7", "eq"), ("C.8", "eq"),
+              ("C.9", "eq"), ("C.10", "nonzero"),
+              ("projector(E)", "eq"), ("projector(G)", "eq"), ("projector(L)", "eq"),
+              ("projector(T)", "eq"), ("projector(Y)", "eq"), ("projector(W)", "eq")],
+}
+
+
+@pytest.mark.parametrize("name", ["spin32", "dim10"])
+def test_condition_labels_on_both_paths(name):
+    # Both paths share one condition generator, so comparing them cannot
+    # catch a wrong label or order; this literal list can.
+    bundle = fixtures.fixture_bundle(name)
+    m = bundle.space.dim_ii
+    T = bundle.T.copy()
+    assert T[0, m] == 0
+    T[0, m] = np.nextafter(0.0, 1.0)
+    for probe, method in ((bundle, "factored"), (dataclasses.replace(bundle, T=T), "dense")):
+        report = verify_bundle(probe)
+        assert report.method == method
+        assert [(e.name, e.kind) for e in report.entries] == _LABELS[name]
