@@ -14,13 +14,13 @@ from .errors import (DimensionError, ModeError, NonCommutingError, ParamRangeErr
 from .family3 import Family3Params
 from .family4 import Family4Params
 from .fixtures import fixture, fixture_bundle, fixture_names
-from .space import BlockVector, ProductSpace, SolutionBundle
+from .space import ProductSpace, SolutionBundle
 from .verify import VerificationReport, verify_bundle
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockVector", "DimensionError", "Family3Params", "Family4Params",
+    "DimensionError", "Family3Params", "Family4Params",
     "ModeError", "NonCommutingError", "ParamRangeError", "ProductSpace",
     "SeedError", "SolutionBundle", "StateShapeError",
     "TwoSlitError", "VerificationReport", "ZeroConditioningError", "ZeroDivisorError",

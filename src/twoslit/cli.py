@@ -79,8 +79,7 @@ def cmd_reproduce(args):
              for name, expected in fx.cores.items()}
     diffs["psi"] = float(np.max(np.abs(bundle.psi - fx.psi)))
     report = verify_bundle(bundle, tol=args.tol)
-    tol = args.tol if args.tol is not None else 1e-12
-    ok = report.passed and all(v <= tol for v in diffs.values())
+    ok = report.passed and all(v <= report.tol for v in diffs.values())
     _emit(args, {"fixture": args.fixture, "max_abs_diff": diffs,
                  "reproduced": ok, "report": _report_payload(report)})
     return 0 if ok else 1

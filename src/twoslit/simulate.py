@@ -11,7 +11,8 @@ CDF (searchsorted, right side) over the exact table flattened in C order
 with the slit bit as the leading axis.  Sharded runs consume the same
 stream split at sample indices that are multiples of 4 (one Philox
 counter tick yields four doubles), so the merged tally is bit-identical
-for any shard count.
+for any shard count.  Each shard draws its uniforms in fixed-size chunks
+that continue one stream, so memory stays bounded as samples grow.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,10 @@ import numpy as np
 
 from .errors import DimensionError, StateShapeError, ZeroDivisorError
 from .linalg import as_cvector
-from .space import ProductSpace, detector_flags
+from .space import ProductSpace, block_weights, detector_flags
+
+# Uniforms drawn per call while sampling: bounds memory for any sample count.
+_CHUNK = 1 << 16
 
 
 @dataclass
@@ -53,9 +57,7 @@ def exact_joint(psi, sp: ProductSpace):
     psi = as_cvector(psi)
     if psi.shape[0] != sp.dim:
         raise DimensionError(f"state length {psi.shape[0]} does not match space dim {sp.dim}")
-    weights = np.abs(psi.reshape(sp.dim_i, sp.dim_ii)) ** 2
-    starts = np.cumsum((0,) + sp.partition[:-1])
-    per_block = np.add.reduceat(weights, starts, axis=1)
+    per_block = block_weights(psi, sp)
     table = np.empty((2, len(sp.partition)))
     table[0] = per_block[sp.rank_e:].sum(axis=0)
     table[1] = per_block[: sp.rank_e].sum(axis=0)
@@ -114,19 +116,21 @@ def run(spec: ExperimentSpec, shards=1) -> OutcomeTally:
     cum = _cumulative(table)
     ncells = cum.shape[0]
     shards = max(1, int(shards))
-    # chunk is a multiple of 4 so every shard starts on a Philox tick
-    chunk = 4 * ((spec.samples + 4 * shards - 1) // (4 * shards))
+    # per_shard is a multiple of 4 so every shard starts on a Philox tick
+    per_shard = 4 * ((spec.samples + 4 * shards - 1) // (4 * shards))
     counts = np.zeros(ncells, dtype=np.int64)
     for s in range(shards):
-        start = s * chunk
-        todo = min(chunk, spec.samples - start)
+        start = s * per_shard
+        todo = min(per_shard, spec.samples - start)
         if todo <= 0:
             break
         bg = np.random.Philox(spec.seed)
         bg.advance(start // 4)
-        u = np.random.Generator(bg).random(todo)
-        idx = np.searchsorted(cum, u, side="right")
-        counts += np.bincount(idx, minlength=ncells)
+        gen = np.random.Generator(bg)
+        # each call continues the stream, so chunking never changes the draws
+        for done in range(0, todo, _CHUNK):
+            u = gen.random(min(_CHUNK, todo - done))
+            counts += np.bincount(np.searchsorted(cum, u, side="right"), minlength=ncells)
     counts = counts.reshape(table.shape)
     empirical = counts / spec.samples
     stderr = np.sqrt(table * (1 - table) / spec.samples)

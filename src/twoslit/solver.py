@@ -13,55 +13,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModeError, StateShapeError
+from .errors import StateShapeError
 from .linalg import as_cmatrix, as_cvector, is_hermitian, is_idempotent
-from .space import ProductSpace, decompose, detector_flags
+from .space import ProductSpace, block_weights, detector_flags
+
+
+def from_coords(c, n):
+    """Hermitian matrix from hermitian_basis coordinates; a stack of
+    coordinate vectors of shape (..., n^2) gives a stack of matrices."""
+    c = np.asarray(c, dtype=float)
+    m = np.zeros(c.shape[:-1] + (n, n), dtype=complex)
+    diag = np.arange(n)
+    iu, ju = np.triu_indices(n, 1)
+    m[..., diag, diag] = c[..., :n]
+    m[..., iu, ju] = c[..., n::2] + 1j * c[..., n + 1::2]
+    m[..., ju, iu] = c[..., n::2] - 1j * c[..., n + 1::2]
+    return m
+
+
+def coords(m):
+    """Coordinates of a Hermitian matrix in the hermitian_basis ordering:
+    the diagonal, then the real and imaginary part of each entry above it
+    in row-major order."""
+    m = as_cmatrix(m)
+    n = m.shape[0]
+    upper = m[np.triu_indices(n, 1)]
+    c = np.empty(n * n)
+    c[:n] = m.diagonal().real
+    c[n::2] = upper.real
+    c[n + 1::2] = upper.imag
+    return c
 
 
 def hermitian_basis(n):
     """Real basis of the n x n Hermitian matrices: n diagonal units, then
     for each i < j a symmetric and an antisymmetric-imaginary unit."""
-    mats = []
-    for i in range(n):
-        b = np.zeros((n, n), dtype=complex)
-        b[i, i] = 1
-        mats.append(b)
-    for i in range(n):
-        for j in range(i + 1, n):
-            b = np.zeros((n, n), dtype=complex)
-            b[i, j] = 1
-            b[j, i] = 1
-            mats.append(b)
-            b = np.zeros((n, n), dtype=complex)
-            b[i, j] = 1j
-            b[j, i] = -1j
-            mats.append(b)
-    return mats
-
-
-def coords(m):
-    """Coordinates of a Hermitian matrix in the hermitian_basis ordering."""
-    m = as_cmatrix(m)
-    n = m.shape[0]
-    c = [m[i, i].real for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            c.append(m[i, j].real)
-            c.append(m[i, j].imag)
-    return np.array(c)
-
-
-def from_coords(c, n):
-    m = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        m[i, i] = c[i]
-    k = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i, j] = c[k] + 1j * c[k + 1]
-            m[j, i] = c[k] - 1j * c[k + 1]
-            k += 2
-    return m
+    return list(from_coords(np.eye(n * n), n))
 
 
 @dataclass
@@ -120,35 +107,23 @@ class AffineSolutionSet:
         return from_coords(self.particular + self.nullspace.T @ (self.nullspace @ delta), self.n)
 
 
-def _pattern_check(psi, sp, e_rows):
-    """T psi = E psi, verified block by block on the decomposition."""
-    flags = detector_flags(sp, "T")
-    bv = decompose(psi, sp)
-    scale = max(float(np.linalg.norm(psi)), 1.0)
-    for j, row in enumerate(bv.parts):
-        for k, block in enumerate(row):
-            expected_zero = (flags[k] == 0) if j in e_rows else (flags[k] == 1)
-            if expected_zero and np.linalg.norm(block) > 1e-10 * scale:
-                raise StateShapeError(
-                    f"state has weight in H_II block {k + 1} over H_I row {j + 1}, "
-                    "violating the detector support pattern")
+def _pattern_check(psi, sp, in_e, scale):
+    """T psi = E psi, verified on the norm of each (H_I row, H_II block)."""
+    t = np.array(detector_flags(sp, "T"), dtype=bool)
+    forbidden = np.where(in_e[:, None], ~t, t)
+    norms = np.sqrt(block_weights(psi, sp))
+    bad = np.argwhere(forbidden & (norms > 1e-10 * scale))
+    if bad.size:
+        j, k = bad[0]
+        raise StateShapeError(
+            f"state has weight in H_II block {k + 1} over H_I row {j + 1}, "
+            "violating the detector support pattern")
 
 
-def _detector_apply(psi, sp, flags):
-    """Apply a diagonal block detector to psi without building the matrix."""
-    mask = np.concatenate([np.full(b, float(f)) for f, b in zip(flags, sp.partition)])
-    rows = psi.reshape(sp.dim_i, sp.dim_ii) * mask
-    return rows.reshape(-1)
-
-
-def assemble(E_I, psi, sp: ProductSpace, mode=None) -> ConstraintSystem:
+def assemble(E_I, psi, sp: ProductSpace) -> ConstraintSystem:
     """Linear system(s) whose Hermitian solutions reproduce the detector
     outcomes: {G : Y psi = (G x 1) psi} and, in 8-block mode,
     {L : W psi = (L x 1) psi}."""
-    if mode is None:
-        mode = sp.mode
-    if mode not in (3, 4) or mode != sp.mode:
-        raise ModeError(f"mode {mode} inconsistent with a {len(sp.partition)}-block partition")
     E_I = as_cmatrix(E_I)
     if E_I.shape != (sp.dim_i, sp.dim_i):
         raise StateShapeError(f"E_I shape {E_I.shape} does not match dim_i={sp.dim_i}")
@@ -156,30 +131,25 @@ def assemble(E_I, psi, sp: ProductSpace, mode=None) -> ConstraintSystem:
     if psi.shape[0] != sp.dim:
         raise StateShapeError(f"state length {psi.shape[0]} does not match space dim {sp.dim}")
 
-    e_rows = {j for j in range(sp.dim_i) if abs(E_I[j, j] - 1) < 1e-9}
-    _pattern_check(psi, sp, e_rows)
+    scale = max(float(np.linalg.norm(psi)), 1.0)
+    _pattern_check(psi, sp, np.abs(E_I.diagonal() - 1) < 1e-9, scale)
 
     n = sp.dim_i
     rows = psi.reshape(sp.dim_i, sp.dim_ii)
-    cols = []
-    for b in hermitian_basis(n):
-        col = (b @ rows).reshape(-1)
-        cols.append(np.concatenate([col.real, col.imag]))
-    a = np.array(cols).T
+    # column k is (basis_k @ rows) flattened, real parts above imaginary parts
+    cols = (from_coords(np.eye(n * n), n) @ rows).reshape(n * n, -1)
+    a = np.concatenate([cols.real, cols.imag], axis=1).T
 
     targets = []
-    flag_sets = [("G", detector_flags(sp, "Y"))]
-    if mode == 4:
-        flag_sets.append(("L", detector_flags(sp, "W")))
-    for name, flags in flag_sets:
-        rhs_c = _detector_apply(psi, sp, flags)
+    pairs = [("G", "Y"), ("L", "W")] if sp.mode == 4 else [("G", "Y")]
+    for name, detector in pairs:
+        rhs_c = (rows * np.repeat(detector_flags(sp, detector), sp.partition)).reshape(-1)
         targets.append(LinearTarget(name, n, a, np.concatenate([rhs_c.real, rhs_c.imag])))
 
     e_psi = (E_I @ rows).reshape(-1)
-    scale = max(float(np.linalg.norm(psi)), 1.0)
     degenerate = bool(np.linalg.norm(e_psi) <= 1e-10 * scale
                       or np.linalg.norm(psi - e_psi) <= 1e-10 * scale)
-    return ConstraintSystem(space=sp, mode=mode, targets=targets,
+    return ConstraintSystem(space=sp, mode=sp.mode, targets=targets,
                             degenerate=degenerate, psi=psi.copy())
 
 

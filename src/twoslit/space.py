@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ModeError
-from .linalg import as_cmatrix, as_cvector
+from .linalg import as_cmatrix
 
 # Detector membership per block, 1-indexed blocks mapped to 0-based flags.
 _T_FLAGS = {4: (1, 1, 0, 0), 8: (1, 1, 1, 0, 1, 0, 0, 0)}
@@ -58,14 +58,6 @@ class ProductSpace:
         """3 for a 4-block partition, 4 for an 8-block partition."""
         return 3 if len(self.partition) == 4 else 4
 
-    def block_slices(self):
-        """Slice of the H_II coordinate range covered by each block."""
-        out, start = [], 0
-        for b in self.partition:
-            out.append(slice(start, start + b))
-            start += b
-        return out
-
 
 def slit_projector(sp: ProductSpace):
     """E_I on H_I: identity on the first rank_e coordinates, zero after."""
@@ -80,6 +72,13 @@ def block_projector(sp: ProductSpace, flags):
         raise ModeError(f"need {len(sp.partition)} flags, got {len(flags)}")
     d = np.concatenate([np.full(b, float(f)) for f, b in zip(flags, sp.partition)])
     return np.diag(d).astype(complex)
+
+
+def block_weights(psi, sp: ProductSpace):
+    """Squared norm of psi over each (H_I basis vector, H_II block) pair,
+    as a dim_i x (number of blocks) table."""
+    weights = np.abs(psi.reshape(sp.dim_i, sp.dim_ii)) ** 2
+    return np.add.reduceat(weights, np.cumsum((0,) + sp.partition[:-1]), axis=1)
 
 
 def detector_flags(sp: ProductSpace, name):
@@ -160,38 +159,3 @@ def assemble(space, psi, g_core, l_core=None, params=None, derived=None):
         L=props[2] if three else None, W=dets[2] if three else None, L_I=l_core,
         params=params, derived=derived,
     )
-
-
-@dataclass(frozen=True)
-class BlockVector:
-    """A state split by H_I coordinate and H_II block.
-
-    ``parts[j][k]`` is the block-k sub-vector of the H_II component sitting
-    over H_I basis vector j.  ``compose`` inverts ``decompose`` exactly —
-    no arithmetic is performed, only slicing and concatenation.
-    """
-
-    space: ProductSpace
-    parts: tuple  # tuple over H_I index of tuples over blocks of ndarrays
-
-
-def decompose(psi, sp: ProductSpace) -> BlockVector:
-    psi = as_cvector(psi)
-    if psi.shape[0] != sp.dim:
-        raise DimensionError(f"expected length {sp.dim}, got {psi.shape[0]}")
-    rows = psi.reshape(sp.dim_i, sp.dim_ii)
-    sl = sp.block_slices()
-    parts = tuple(tuple(rows[j, s].copy() for s in sl) for j in range(sp.dim_i))
-    return BlockVector(sp, parts)
-
-
-def compose(bv: BlockVector):
-    sp = bv.space
-    if len(bv.parts) != sp.dim_i:
-        raise DimensionError(f"expected {sp.dim_i} rows, got {len(bv.parts)}")
-    rows = []
-    for row in bv.parts:
-        if len(row) != len(sp.partition):
-            raise DimensionError("row has wrong number of blocks")
-        rows.append(np.concatenate([np.asarray(b, dtype=complex) for b in row]))
-    return np.concatenate(rows)

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from twoslit import fixtures, jsonio
+from twoslit import cli, fixtures, jsonio
 from twoslit.cli import main
 
 
@@ -31,6 +32,18 @@ def test_reproduce_dim10(capsys):
     assert rc == 0
     assert payload["reproduced"] is True
     assert set(payload["max_abs_diff"]) == {"G_I", "L_I", "psi"}
+
+
+def test_reproduce_compares_at_the_report_tolerance(capsys, monkeypatch):
+    stored = fixtures.fixture("spin32")
+    psi = stored.psi.copy()
+    psi[0] += 1e-9
+    monkeypatch.setattr(cli, "fixture", lambda name: dataclasses.replace(stored, psi=psi))
+    monkeypatch.setenv("TWOSLIT_TOL", "1e-8")
+    rc, payload = run_json(capsys, "reproduce", "--fixture", "spin32")
+    assert 1e-12 < payload["max_abs_diff"]["psi"] <= 1e-8
+    assert payload["report"]["tol"] == 1e-8
+    assert rc == 0 and payload["reproduced"] is True
 
 
 def test_generate3_default_point(capsys):

@@ -7,7 +7,6 @@ import pytest
 from twoslit import family3, fixtures
 from twoslit.errors import ParamRangeError, SeedError
 from twoslit.linalg import is_hermitian, is_idempotent, projector_rank
-from twoslit.space import decompose
 from twoslit.verify import check3, detect_correlations
 
 REF = fixtures.fixture("spin32")
@@ -127,10 +126,12 @@ def test_second_branch_coupling_ratio():
     rng = np.random.default_rng(7)
     params = _random_params(rng)
     psi = family3.state(params)
-    bv = decompose(psi, params.space())
+    sp = params.space()
+    rows = psi.reshape(sp.dim_i, sp.dim_ii)
+    last_block = slice(sum(sp.partition[:3]), sp.dim_ii)
     lam = -params.lambda2 * np.conj(params.lambda3) / (1 + abs(params.lambda3) ** 2)
-    d2 = bv.parts[4][3]
-    d3 = bv.parts[5][3]
+    d2 = rows[4, last_block]
+    d3 = rows[5, last_block]
     assert np.max(np.abs(d3 - lam * d2)) < 1e-14
 
 

@@ -52,6 +52,18 @@ def test_sharding_never_changes_the_tally(ref3):
         assert np.array_equal(simulate.run(spec, shards=shards).counts, base)
 
 
+def test_chunked_draws_match_one_unchunked_stream(ref3):
+    samples = 3 * simulate._CHUNK + 5
+    table = simulate.exact_joint(ref3.psi, ref3.space)
+    cum = np.cumsum(table.reshape(-1) / table.sum())
+    cum[-1] = 1.0
+    u = np.random.Generator(np.random.Philox(23)).random(samples)
+    expected = np.bincount(np.searchsorted(cum, u, side="right"), minlength=cum.size)
+    spec = simulate.ExperimentSpec(ref3.psi, ref3.space, samples=samples, seed=23)
+    for shards in (1, 3):
+        assert np.array_equal(simulate.run(spec, shards=shards).counts, expected.reshape(2, 4))
+
+
 def test_zero_probability_cells_are_never_drawn(ref3):
     spec = simulate.ExperimentSpec(ref3.psi, ref3.space, samples=50000, seed=11)
     tally = simulate.run(spec)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from twoslit import fixtures, solver
-from twoslit.errors import ModeError, StateShapeError
+from twoslit.errors import StateShapeError
 from twoslit.linalg import is_hermitian, is_idempotent
-from twoslit.space import slit_projector
+from twoslit.space import detector_flags, slit_projector
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +29,64 @@ def test_hermitian_basis_spans_and_is_orthogonal():
     assert np.max(np.abs(gram - np.diag([1, 1, 1, 2, 2, 2, 2, 2, 2]))) < 1e-14
     for b in basis:
         assert is_hermitian(b, 1e-15)
+
+
+def _loop_basis(n):
+    mats = []
+    for i in range(n):
+        b = np.zeros((n, n), dtype=complex)
+        b[i, i] = 1
+        mats.append(b)
+    for i in range(n):
+        for j in range(i + 1, n):
+            b = np.zeros((n, n), dtype=complex)
+            b[i, j] = 1
+            b[j, i] = 1
+            mats.append(b)
+            b = np.zeros((n, n), dtype=complex)
+            b[i, j] = 1j
+            b[j, i] = -1j
+            mats.append(b)
+    return mats
+
+
+def _loop_coords(m):
+    n = m.shape[0]
+    c = [m[i, i].real for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            c.append(m[i, j].real)
+            c.append(m[i, j].imag)
+    return np.array(c)
+
+
+def _loop_from_coords(c, n):
+    m = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        m[i, i] = c[i]
+    k = n
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = c[k] + 1j * c[k + 1]
+            m[j, i] = c[k] - 1j * c[k + 1]
+            k += 2
+    return m
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_coordinate_map_matches_loop_reference(n):
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((2, 3, n * n))
+    mats = solver.from_coords(stack, n)
+    assert mats.shape == (2, 3, n, n)
+    for idx in np.ndindex(2, 3):
+        ref = _loop_from_coords(stack[idx], n)
+        assert np.array_equal(mats[idx], ref)
+        assert np.array_equal(solver.from_coords(stack[idx], n), ref)
+        assert np.array_equal(solver.coords(ref), _loop_coords(ref))
+    basis, ref = solver.hermitian_basis(n), _loop_basis(n)
+    assert len(basis) == len(ref) == n * n
+    assert all(np.array_equal(b, r) for b, r in zip(basis, ref))
 
 
 def test_coords_roundtrip():
@@ -83,6 +141,12 @@ def test_blind_filter_finds_projectors(sys3):
     assert all(np.array_equal(a, b) for a, b in zip(found, again))
 
 
+def test_blind_filter_survivors_and_their_order(sys3):
+    fx, cs, (sol,) = sys3
+    found = solver.filter_projectors(sol, fx.space, draws=800, seed=1)
+    assert [round(float(np.trace(m).real), 9) for m in found] == [4, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3]
+
+
 def test_filter_with_nothing_to_do(sys3):
     fx, cs, (sol,) = sys3
     assert solver.filter_projectors(sol, fx.space, draws=0) == []
@@ -113,10 +177,36 @@ def test_pattern_violation_rejected():
         solver.assemble(slit_projector(fx.space), psi / np.linalg.norm(psi), fx.space)
 
 
+@pytest.mark.parametrize("name", ["spin32", "dim10"])
+def test_pattern_checked_on_every_row_and_block(name):
+    fx = fixtures.fixture(name)
+    sp = fx.space
+    t = detector_flags(sp, "T")
+    starts = np.cumsum((0,) + sp.partition[:-1])
+    forbidden = []
+    for j in range(sp.dim_i):
+        for k, start in enumerate(starts):
+            rows = fx.psi.reshape(sp.dim_i, sp.dim_ii).copy()
+            rows[j, start] += 0.5
+            psi = rows.reshape(-1) / np.linalg.norm(rows)
+            if t[k] == (0 if j < sp.rank_e else 1):
+                forbidden.append((j, start))
+                with pytest.raises(StateShapeError, match=f"block {k + 1} over H_I row {j + 1},"):
+                    solver.assemble(slit_projector(sp), psi, sp)
+            else:
+                solver.assemble(slit_projector(sp), psi, sp)
+    # with every forbidden cell filled, the first in row-major order is named
+    rows = fx.psi.reshape(sp.dim_i, sp.dim_ii).copy()
+    for j, start in forbidden:
+        rows[j, start] += 0.5
+    j, start = forbidden[0]
+    k = list(starts).index(start)
+    with pytest.raises(StateShapeError, match=f"block {k + 1} over H_I row {j + 1},"):
+        solver.assemble(slit_projector(sp), rows.reshape(-1), sp)
+
+
 def test_shape_and_mode_errors():
     fx = fixtures.fixture("spin32")
-    with pytest.raises(ModeError):
-        solver.assemble(slit_projector(fx.space), fx.psi, fx.space, mode=4)
     with pytest.raises(StateShapeError):
         solver.assemble(np.eye(5), fx.psi, fx.space)
     with pytest.raises(StateShapeError):

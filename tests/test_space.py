@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from twoslit import fixtures
 from twoslit.errors import DimensionError, ModeError
 from twoslit.space import (
-    BlockVector,
     ProductSpace,
     assemble,
     block_projector,
-    compose,
-    decompose,
     detector_flags,
     detector_projectors,
     lift_left,
@@ -101,34 +97,6 @@ def test_lift_shape_checked():
         lift_left(np.eye(5), sp)
     with pytest.raises(DimensionError):
         lift_right(np.eye(5), sp)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.lists(st.integers(1, 3), min_size=4, max_size=4))
-def test_decompose_compose_roundtrip(seed, half, part):
-    sp = ProductSpace(2 * half, tuple(part))
-    rng = np.random.default_rng(seed)
-    psi = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
-    bv = decompose(psi, sp)
-    assert len(bv.parts) == sp.dim_i
-    assert all(len(row) == 4 for row in bv.parts)
-    assert np.array_equal(compose(bv), psi)
-
-
-def test_decompose_rejects_wrong_length():
-    sp = ProductSpace(6, (1, 1, 1, 1))
-    with pytest.raises(DimensionError):
-        decompose(np.zeros(25), sp)
-
-
-def test_block_vector_part_shapes():
-    sp = ProductSpace(4, (2, 1, 1, 3))
-    bv = decompose(np.arange(sp.dim, dtype=complex), sp)
-    assert isinstance(bv, BlockVector)
-    row0 = bv.parts[0]
-    assert [len(p) for p in row0] == [2, 1, 1, 3]
-    assert np.array_equal(row0[0], [0, 1])
-    assert np.array_equal(row0[3], [4, 5, 6])
 
 
 def test_assemble_requires_l_core_exactly_in_three_detector_mode():
