@@ -26,7 +26,7 @@ from .verify import verify_bundle
 
 
 def _emit(args, obj, as_text=None):
-    text = as_text if as_text is not None else json.dumps(obj, indent=2) + "\n"
+    text = as_text if as_text is not None else jsonio.dumps(obj) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -3,7 +3,9 @@
 Complex numbers travel as [re, im] pairs; matrices as
 ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with the data flat in
 row-major order; vectors as ``{"dim": n, "data": [...]}``.  Values
-round-trip through these encoders at full double precision.
+round-trip through these encoders at full double precision.  ``dumps``
+writes objects indented and arrays on one line; input may use any JSON
+whitespace.
 """
 
 import json
@@ -29,12 +31,32 @@ def pair_to_complex(v):
     raise DimensionError(f"cannot read {v!r} as a complex number")
 
 
+def _to_pairs(a):
+    """[[re, im], ...] of a complex array in row-major order, as Python floats."""
+    return np.ascontiguousarray(a).reshape(-1, 1).view(float).tolist()
+
+
+def _from_pairs(data):
+    """A flat complex array from wire data, read as ``pair_to_complex`` reads it.
+
+    A numeric (N, 2) array is viewed as complex at once; anything else --
+    bare numbers, ragged rows, strings, bools -- goes element by element,
+    so malformed data raises the same error either way.
+    """
+    try:
+        a = np.asarray(data)
+    except ValueError:  # numpy refuses an inhomogeneous shape
+        a = None
+    if a is not None and a.ndim == 2 and a.shape[1] == 2 and a.dtype.kind in "fiu":
+        return np.ascontiguousarray(a, dtype=float).view(complex).reshape(-1)
+    return np.array([pair_to_complex(v) for v in data], dtype=complex)
+
+
 def matrix_to_json(m):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={m.ndim}")
-    return {"rows": m.shape[0], "cols": m.shape[1],
-            "data": [[z.real, z.imag] for z in m.reshape(-1)]}
+    return {"rows": m.shape[0], "cols": m.shape[1], "data": _to_pairs(m)}
 
 
 def matrix_from_json(d):
@@ -42,22 +64,21 @@ def matrix_from_json(d):
     data = d["data"]
     if len(data) != rows * cols:
         raise DimensionError(f"matrix data length {len(data)} != {rows}*{cols}")
-    flat = np.array([pair_to_complex(v) for v in data], dtype=complex)
-    return flat.reshape(rows, cols)
+    return _from_pairs(data).reshape(rows, cols)
 
 
 def vector_to_json(v):
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1:
         raise DimensionError(f"expected a vector, got ndim={v.ndim}")
-    return {"dim": v.shape[0], "data": [[z.real, z.imag] for z in v]}
+    return {"dim": v.shape[0], "data": _to_pairs(v)}
 
 
 def vector_from_json(d):
     data = d["data"]
     if len(data) != int(d["dim"]):
         raise DimensionError(f"vector data length {len(data)} != dim {d['dim']}")
-    return np.array([pair_to_complex(v) for v in data], dtype=complex)
+    return _from_pairs(data)
 
 
 def space_to_json(sp):
@@ -181,10 +202,34 @@ def report_to_csv(report):
     return "\n".join(lines) + "\n"
 
 
+def dumps(obj):
+    """JSON text with the values of ``json.dumps(obj, indent=2)``, laid out for speed.
+
+    Each object, and each array that holds an object, is indented by two
+    spaces; every other array goes on one line through ``json.dumps``
+    without ``indent``, which keeps CPython's C encoder.  Keys are written
+    as ``str(key)``: the outputs here have string keys only.
+    """
+    return _dumps(obj, "")
+
+
+def _dumps(obj, indent):
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = [json.dumps(str(k)) + ": " + _dumps(v, inner) for k, v in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)) and any(isinstance(v, dict) for v in obj):
+        items = [_dumps(v, inner) for v in obj]
+        brackets = "[]"
+    else:
+        return json.dumps(obj)
+    body = ",\n".join(inner + item for item in items)
+    return f"{brackets[0]}\n{body}\n{indent}{brackets[1]}"
+
+
 def write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(dumps(obj) + "\n")
 
 
 def read_json(path):

@@ -229,3 +229,52 @@ def test_verify_needs_every_operator_and_ignores_unknown_ones(capsys, tmp_path, 
     rc, out, err = run_cli(capsys, "verify", "--bundle", str(missing))
     assert rc == 2
     assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("entry", [[0.5, 0.0, 1.0], "abc", [0.5]],
+                         ids=["wide-pair", "string", "ragged"])
+def test_verify_malformed_operator_data_exits_2(capsys, tmp_path, entry):
+    path = tmp_path / "b4.json"
+    assert run_cli(capsys, "generate4", "--out", str(path))[0] == 0
+    blob = json.loads(path.read_text())
+    blob["bundle"]["operators"]["G"]["data"][3] = entry
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    rc, out, err = run_cli(capsys, "verify", "--bundle", str(bad))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def _nan_state_bundle(tmp_path, capsys):
+    path = tmp_path / "b3.json"
+    run_cli(capsys, "generate3", "--out", str(path))
+    blob = json.loads(path.read_text())
+    blob["bundle"]["psi"]["data"][0] = [float("nan"), 0.0]
+    nan = tmp_path / "nan.json"
+    nan.write_text(json.dumps(blob))
+    return str(nan)
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate3",), ("generate4",), ("verify", "--bundle", "NAN"),
+    ("reproduce", "--fixture", "spin32"), ("reproduce", "--fixture", "dim10"),
+    ("solve", "--fixture", "dim10", "--draws", "20"), ("simulate", "--samples", "1000"),
+], ids=["generate3", "generate4", "verify-nan", "reproduce-spin32", "reproduce-dim10",
+        "solve", "simulate"])
+def test_output_differs_from_indented_json_only_in_whitespace(capsys, tmp_path, monkeypatch,
+                                                              argv):
+    argv = [_nan_state_bundle(tmp_path, capsys) if a == "NAN" else a for a in argv]
+    emitted, dumps = [], jsonio.dumps
+
+    def recording_dumps(obj):
+        emitted.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(jsonio, "dumps", recording_dumps)
+    rc, out, _ = run_cli(capsys, *argv)
+    (obj,) = emitted
+    if argv[0] == "verify":
+        assert rc == 1 and any(c["residual"] != c["residual"] for c in obj["conditions"])
+    assert out == dumps(obj) + "\n"
+    assert json.dumps(json.loads(out)) == json.dumps(json.loads(json.dumps(obj, indent=2)))

@@ -129,3 +129,133 @@ def test_write_and_read_json(tmp_path):
     path = tmp_path / "blob.json"
     jsonio.write_json(path, {"x": [1, 2.5]})
     assert jsonio.read_json(path) == {"x": [1, 2.5]}
+
+
+def _reference_pairs(a):
+    """The per-element encoding the vectorised codec must equal."""
+    return [[z.real, z.imag] for z in np.asarray(a, dtype=complex).reshape(-1)]
+
+
+def _reference_decode(data):
+    return np.array([jsonio.pair_to_complex(v) for v in data], dtype=complex)
+
+
+_RNG = np.random.default_rng(17)
+_M = _RNG.standard_normal((4, 6)) + 1j * _RNG.standard_normal((4, 6))
+_M[0, 0] = complex(-0.0, -0.0)
+_PSI = _RNG.standard_normal(9) + 1j * _RNG.standard_normal(9)
+
+
+@pytest.mark.parametrize("m", [
+    _M, np.asfortranarray(_M), _M.T, _M[::2, 1::3], _M.real, np.arange(12).reshape(3, 4),
+    np.zeros((0, 5)), np.zeros((5, 0), dtype=complex),
+], ids=["C", "F-ordered", "transposed", "strided", "real", "integer", "0xn", "nx0"])
+def test_matrix_codec_equals_the_per_element_reference(m):
+    d = jsonio.matrix_to_json(m)
+    assert (d["rows"], d["cols"]) == m.shape
+    assert d["data"] == _reference_pairs(m)
+    assert json.dumps(d["data"]) == json.dumps(_reference_pairs(m))  # -0.0 and repr kept
+    assert all(type(x) is float for pair in d["data"] for x in pair)
+    again = jsonio.matrix_from_json(json.loads(json.dumps(d)))
+    assert again.shape == m.shape
+    assert again.tobytes() == np.asarray(m, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("v", [
+    _PSI, _PSI[::2], _PSI[::-1], _PSI.real, np.arange(5), np.zeros(0),
+], ids=["contiguous", "strided", "reversed", "real", "integer", "empty"])
+def test_vector_codec_equals_the_per_element_reference(v):
+    d = jsonio.vector_to_json(v)
+    assert d["dim"] == v.shape[0]
+    assert d["data"] == _reference_pairs(v)
+    assert json.dumps(d["data"]) == json.dumps(_reference_pairs(v))
+    again = jsonio.vector_from_json(json.loads(json.dumps(d)))
+    assert again.tobytes() == np.asarray(v, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("data", [
+    [[1.0, 2.0], [3.0, 4.0, 5.0]],           # a 3-wide pair
+    [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],      # every pair 3 wide
+    [[1.0, 2.0], "ab"],                      # a string entry
+    ["ab", "cd"],                            # only strings
+    [[1.0, 2.0], [3.0]],                     # ragged rows
+    [[1.0, 2.0], 3.0, [4.0]],                # ragged mix of pairs and bare numbers
+    [{"re": 1.0}, [2.0, 3.0]],               # an object entry
+], ids=["wide-pair", "all-wide", "string", "strings", "ragged", "ragged-mix", "object"])
+def test_malformed_data_raises_dimension_error(data):
+    with pytest.raises(DimensionError):
+        jsonio.vector_from_json({"dim": len(data), "data": data})
+    with pytest.raises(DimensionError):
+        jsonio.matrix_from_json({"rows": 1, "cols": len(data), "data": data})
+
+
+@pytest.mark.parametrize("text", [
+    "[1.5, -2, 0.0]",                          # all bare numbers
+    "[[1, 2], [3, -4]]",                       # integer pairs
+    "[[1.5, 2], [3, -4.25]]",                  # mixed integer and float pairs
+    "[[1.0, 2.0], 3.0, [4.0, -0.0]]",          # pairs mixed with bare numbers
+    "[[NaN, Infinity], [-Infinity, 1.0]]",     # non-finite tokens
+    "[[true, false], [1.0, 2.0]]",             # booleans among floats
+    "[[true, false], [false, true]]",          # booleans only
+    '[["1", "2.5"], ["-0", "3"]]',             # numeric strings
+    "[]",
+], ids=["bare", "int-pairs", "mixed-pairs", "pairs-and-bare", "non-finite", "bools",
+        "only-bools", "numeric-strings", "empty"])
+def test_wire_data_decodes_as_per_element(text):
+    data = json.loads(text)
+    want = _reference_decode(data)
+    got = jsonio.vector_from_json({"dim": len(data), "data": data})
+    assert got.dtype == complex and got.tobytes() == want.tobytes()
+    got = jsonio.matrix_from_json({"rows": len(data), "cols": 1, "data": data})
+    assert got.shape == (len(data), 1) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: family3.build(fixtures.fixture("spin32").params),
+    lambda: family4.build(fixtures.fixture("dim10").params),
+], ids=["family3", "family4"])
+def test_bundle_files_in_the_indented_layout_still_read(build, tmp_path):
+    bundle = build()
+    obj = {"bundle": jsonio.bundle_to_json(bundle)}
+    old = tmp_path / "indented.json"
+    with open(old, "w") as fh:  # the layout of json.dump(obj, fh, indent=2)
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+    new = tmp_path / "new.json"
+    jsonio.write_json(new, obj)
+    assert new.stat().st_size < old.stat().st_size
+    a = jsonio.bundle_from_json(jsonio.read_json(old)["bundle"])
+    b = jsonio.bundle_from_json(jsonio.read_json(new)["bundle"])
+    for name in ("psi", "E", "G", "T", "Y", "L", "W", "G_I", "L_I"):
+        want = getattr(bundle, name)
+        if want is None:
+            assert getattr(a, name) is None and getattr(b, name) is None
+            continue
+        assert getattr(a, name).tobytes() == want.tobytes()
+        assert getattr(b, name).tobytes() == want.tobytes()
+
+
+def test_dumps_layout():
+    obj = {"a": [[1.0, -0.0], [2.5, 3.0]], "b": {"c": [], "d": {}}, "e": [{"f": 1}, [2]],
+           "g": (1, "x"), "h": None, 1: True}
+    text = jsonio.dumps(obj)
+    assert text == (
+        '{\n'
+        '  "a": [[1.0, -0.0], [2.5, 3.0]],\n'
+        '  "b": {\n'
+        '    "c": [],\n'
+        '    "d": {}\n'
+        '  },\n'
+        '  "e": [\n'
+        '    {\n'
+        '      "f": 1\n'
+        '    },\n'
+        '    [2]\n'
+        '  ],\n'
+        '  "g": [1, "x"],\n'
+        '  "h": null,\n'
+        '  "1": true\n'
+        '}')
+    assert json.loads(text) == json.loads(json.dumps(obj, indent=2))
+    assert jsonio.dumps([]) == "[]" and jsonio.dumps({}) == "{}"
+    assert jsonio.dumps(float("nan")) == "NaN"
