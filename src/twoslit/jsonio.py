@@ -27,7 +27,10 @@ def pair_to_complex(v):
     if isinstance(v, (int, float)):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        try:
+            return complex(float(v[0]), float(v[1]))
+        except (TypeError, ValueError):
+            pass
     raise DimensionError(f"cannot read {v!r} as a complex number")
 
 

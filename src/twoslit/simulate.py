@@ -7,12 +7,14 @@ p(e, i) = ||(E^e (x) A_i) psi||^2.
 
 Reproducibility contract: the random stream is numpy's counter-based
 Philox generator keyed by the 64-bit seed; samples are drawn by inverse
-CDF (searchsorted, right side) over the exact table flattened in C order
-with the slit bit as the leading axis.  Sharded runs consume the same
-stream split at sample indices that are multiples of 4 (one Philox
-counter tick yields four doubles), so the merged tally is bit-identical
-for any shard count.  Each shard draws its uniforms in fixed-size chunks
-that continue one stream, so memory stays bounded as samples grow.
+CDF over the exact table flattened in C order with the slit bit as the
+leading axis: a uniform u falls in the first cell i with u < cum[i], so a
+u equal to a boundary goes to the cell above it (searchsorted, right
+side).  Sharded runs consume the same stream split at sample indices
+that are multiples of 4 (one Philox counter tick yields four doubles), so
+the merged tally is bit-identical for any shard count.  Each shard draws
+its uniforms in fixed-size chunks that continue one stream, so memory
+stays bounded as samples grow.
 """
 
 from dataclasses import dataclass
@@ -106,6 +108,36 @@ def _cumulative(table):
     return cum
 
 
+def _uniforms(samples, seed, shards):
+    """The run's uniforms, shard by shard, in chunks of at most ``_CHUNK``."""
+    # per_shard is a multiple of 4 so every shard starts on a Philox tick
+    per_shard = 4 * ((samples + 4 * shards - 1) // (4 * shards))
+    for s in range(shards):
+        start = s * per_shard
+        todo = min(per_shard, samples - start)
+        if todo <= 0:
+            break
+        bg = np.random.Philox(seed)
+        bg.advance(start // 4)
+        gen = np.random.Generator(bg)
+        # each call continues the stream, so chunking never changes the draws
+        for done in range(0, todo, _CHUNK):
+            yield gen.random(min(_CHUNK, todo - done))
+
+
+def _tally(cum, chunks):
+    """Draws per cell of the uniforms in ``chunks``: cell i takes the u with
+    cum[i-1] <= u < cum[i], as ``searchsorted(cum, u, side="right")`` would."""
+    # below[i] counts the draws u < cum[i]; the last bound, 1.0, takes them all
+    below = np.zeros(cum.shape[0] - 1, dtype=np.int64)
+    total = 0
+    for u in chunks:
+        for i, bound in enumerate(cum[:-1]):
+            below[i] += np.count_nonzero(u < bound)
+        total += u.shape[0]
+    return np.diff(below, prepend=0, append=total)
+
+
 def run(spec: ExperimentSpec, shards=1) -> OutcomeTally:
     """Sample the joint outcomes; deterministic given (psi, samples, seed).
 
@@ -113,25 +145,8 @@ def run(spec: ExperimentSpec, shards=1) -> OutcomeTally:
     tally; cells with exact probability 0 can never be drawn.
     """
     table = exact_joint(spec.psi, spec.space)
-    cum = _cumulative(table)
-    ncells = cum.shape[0]
-    shards = max(1, int(shards))
-    # per_shard is a multiple of 4 so every shard starts on a Philox tick
-    per_shard = 4 * ((spec.samples + 4 * shards - 1) // (4 * shards))
-    counts = np.zeros(ncells, dtype=np.int64)
-    for s in range(shards):
-        start = s * per_shard
-        todo = min(per_shard, spec.samples - start)
-        if todo <= 0:
-            break
-        bg = np.random.Philox(spec.seed)
-        bg.advance(start // 4)
-        gen = np.random.Generator(bg)
-        # each call continues the stream, so chunking never changes the draws
-        for done in range(0, todo, _CHUNK):
-            u = gen.random(min(_CHUNK, todo - done))
-            counts += np.bincount(np.searchsorted(cum, u, side="right"), minlength=ncells)
-    counts = counts.reshape(table.shape)
+    chunks = _uniforms(spec.samples, spec.seed, max(1, int(shards)))
+    counts = _tally(_cumulative(table), chunks).reshape(table.shape)
     empirical = counts / spec.samples
     stderr = np.sqrt(table * (1 - table) / spec.samples)
     return OutcomeTally(space=spec.space, samples=spec.samples, seed=spec.seed,

@@ -19,8 +19,11 @@ from .space import ProductSpace, block_weights, detector_flags
 
 
 def from_coords(c, n):
-    """Hermitian matrix from hermitian_basis coordinates; a stack of
-    coordinate vectors of shape (..., n^2) gives a stack of matrices."""
+    """Hermitian matrix from its ``coords`` coordinates; a stack of
+    coordinate vectors of shape (..., n^2) gives a stack of matrices, and
+    ``from_coords(np.eye(n * n), n)`` is the real basis of the n x n
+    Hermitian matrices: n diagonal units, then for each i < j a symmetric
+    and an antisymmetric-imaginary unit."""
     c = np.asarray(c, dtype=float)
     m = np.zeros(c.shape[:-1] + (n, n), dtype=complex)
     diag = np.arange(n)
@@ -32,9 +35,8 @@ def from_coords(c, n):
 
 
 def coords(m):
-    """Coordinates of a Hermitian matrix in the hermitian_basis ordering:
-    the diagonal, then the real and imaginary part of each entry above it
-    in row-major order."""
+    """Coordinates of a Hermitian matrix: the diagonal, then the real and
+    imaginary part of each entry above it in row-major order."""
     m = as_cmatrix(m)
     n = m.shape[0]
     upper = m[np.triu_indices(n, 1)]
@@ -43,12 +45,6 @@ def coords(m):
     c[n::2] = upper.real
     c[n + 1::2] = upper.imag
     return c
-
-
-def hermitian_basis(n):
-    """Real basis of the n x n Hermitian matrices: n diagonal units, then
-    for each i < j a symmetric and an antisymmetric-imaginary unit."""
-    return list(from_coords(np.eye(n * n), n))
 
 
 @dataclass
@@ -84,7 +80,7 @@ class ConstraintSystem:
 
 @dataclass
 class AffineSolutionSet:
-    """particular + span(nullspace) in hermitian_basis coordinates."""
+    """particular + span(nullspace) in ``coords`` coordinates."""
 
     name: str
     n: int
@@ -176,16 +172,33 @@ def solve(cs: ConstraintSystem):
 
 
 def _purify(m, max_iter=200, stop=1e-13):
-    """Iterate m <- 3 m^2 - 2 m^3; converges to a projector from nearby
-    Hermitian starting points and preserves the affine solution set."""
+    """Iterate m <- 3 m^2 - 2 m^3 on each matrix of the stack m; converges
+    to a projector from nearby Hermitian starting points and preserves the
+    affine solution set.
+
+    Returns one entry per matrix: the projector once ``max|m^2 - m|`` falls
+    below ``stop`` (tested before each step), or None when a step leaves
+    the finite values or exceeds 1e6 in modulus, or after ``max_iter``
+    steps.  Each matrix takes its own steps, unaffected by the others.
+    """
+    out = [None] * len(m)
+    live = np.arange(len(m))
     for _ in range(max_iter):
+        if not live.size:
+            break
         m2 = m @ m
-        if np.max(np.abs(m2 - m)) < stop:
-            return m
+        done = np.max(np.abs(m2 - m), axis=(1, 2)) < stop
+        for k, mk in zip(live[done], m[done]):
+            out[k] = mk
+        m, m2, live = m[~done], m2[~done], live[~done]
         m = 3 * m2 - 2 * m2 @ m
-        if not np.isfinite(m).all() or np.max(np.abs(m)) > 1e6:
-            return None
-    return None
+        ok = np.isfinite(m).all(axis=(1, 2)) & ~(np.max(np.abs(m), axis=(1, 2)) > 1e6)
+        m, live = m[ok], live[ok]
+    return out
+
+
+# Starting points purified as one stack: bounds memory for any draw count.
+_BATCH = 64
 
 
 def filter_projectors(sol: AffineSolutionSet, sp: ProductSpace, tol=1e-9,
@@ -194,15 +207,14 @@ def filter_projectors(sol: AffineSolutionSet, sp: ProductSpace, tol=1e-9,
 
     Candidate matrices (if given) are projected onto the set and purified
     first, then ``draws`` random coordinate points from the centered box of
-    half-width ``box`` are purified in order.  Survivors must pass both
-    projector predicates at ``tol``, still satisfy the linear system, and
-    be distinct from earlier survivors; the result order is deterministic
-    for a fixed seed.
+    half-width ``box`` are purified in order, ``_BATCH`` at a time.
+    Survivors must pass both projector predicates at ``tol``, still satisfy
+    the linear system, and be distinct from earlier survivors; the result
+    order is deterministic for a fixed seed.
     """
     found = []
 
     def consider(m):
-        m = _purify(m)
         if m is None:
             return
         if not (is_hermitian(m, tol) and is_idempotent(m, tol)):
@@ -217,10 +229,14 @@ def filter_projectors(sol: AffineSolutionSet, sp: ProductSpace, tol=1e-9,
                 return
         found.append(m)
 
-    for cand in candidates:
-        consider(sol.project(cand))
+    for m in _purify(np.array([sol.project(c) for c in candidates])):
+        consider(m)
     rng = np.random.default_rng(seed)
-    for _ in range(int(draws)):
-        t = rng.uniform(-box, box, size=sol.nullity)
-        consider(sol.member(t))
+    for start in range(0, int(draws), _BATCH):
+        # one draw and one matrix-vector product per point: a batched
+        # ts @ nullspace would run gemm, not gemv, and change the last bits
+        points = [sol.particular + sol.nullspace.T @ rng.uniform(-box, box, size=sol.nullity)
+                  for _ in range(min(_BATCH, int(draws) - start))]
+        for m in _purify(from_coords(np.array(points), sol.n)):
+            consider(m)
     return found

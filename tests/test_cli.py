@@ -231,8 +231,10 @@ def test_verify_needs_every_operator_and_ignores_unknown_ones(capsys, tmp_path, 
     assert out == "" and err.startswith("error:")
 
 
-@pytest.mark.parametrize("entry", [[0.5, 0.0, 1.0], "abc", [0.5]],
-                         ids=["wide-pair", "string", "ragged"])
+@pytest.mark.parametrize("entry", [[0.5, 0.0, 1.0], "abc", [0.5], [None, 0.0], [[0.5], 0.0],
+                                   ["x", 0.0]],
+                         ids=["wide-pair", "string", "ragged", "null-in-pair", "list-in-pair",
+                              "string-in-pair"])
 def test_verify_malformed_operator_data_exits_2(capsys, tmp_path, entry):
     path = tmp_path / "b4.json"
     assert run_cli(capsys, "generate4", "--out", str(path))[0] == 0

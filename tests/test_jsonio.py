@@ -181,7 +181,11 @@ def test_vector_codec_equals_the_per_element_reference(v):
     [[1.0, 2.0], [3.0]],                     # ragged rows
     [[1.0, 2.0], 3.0, [4.0]],                # ragged mix of pairs and bare numbers
     [{"re": 1.0}, [2.0, 3.0]],               # an object entry
-], ids=["wide-pair", "all-wide", "string", "strings", "ragged", "ragged-mix", "object"])
+    [[1.0, 2.0], [None, 0.0]],               # a null inside a pair
+    [[1.0, 2.0], [[1.0], 0.0]],              # a nested list inside a pair
+    [[1.0, 2.0], ["x", 0.0]],                # a non-numeric string inside a pair
+], ids=["wide-pair", "all-wide", "string", "strings", "ragged", "ragged-mix", "object",
+        "null-in-pair", "list-in-pair", "string-in-pair"])
 def test_malformed_data_raises_dimension_error(data):
     with pytest.raises(DimensionError):
         jsonio.vector_from_json({"dim": len(data), "data": data})

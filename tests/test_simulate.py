@@ -64,6 +64,29 @@ def test_chunked_draws_match_one_unchunked_stream(ref3):
         assert np.array_equal(simulate.run(spec, shards=shards).counts, expected.reshape(2, 4))
 
 
+def _searchsorted_counts(cum, u):
+    return np.bincount(np.searchsorted(cum, u, side="right"), minlength=cum.size)
+
+
+@pytest.mark.parametrize("probs", [
+    [0.25, 0.25, 0.25, 0.25],
+    [0.0, 0.0, 2 / 9, 5 / 18, 2 / 9, 5 / 18, 0.0, 0.0],   # zero cells at both ends
+    [0.0, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0],
+    [0.1, 0.0, 0.2, 0.0, 0.3, 0.0, 0.4, 0.0] + [0.0] * 8,  # 16 cells
+], ids=["uniform", "spin32", "two-cells", "sixteen"])
+def test_count_kernel_matches_searchsorted_at_cdf_boundaries(probs):
+    cum = simulate._cumulative(np.array(probs))
+    # every boundary, its neighbours one ulp away, both ends of [0, 1) and fill-ins
+    u = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 1), [0.0],
+                        np.linspace(0, 1, 101, endpoint=False)])
+    u = u[u < 1.0]
+    want = _searchsorted_counts(cum, u)
+    assert want.size == cum.size and want.sum() == u.size
+    assert np.array_equal(simulate._tally(cum, [u]), want)
+    assert np.array_equal(simulate._tally(cum, np.array_split(u, 5)), want)
+    assert np.array_equal(simulate._tally(cum, []), np.zeros(cum.size, dtype=np.int64))
+
+
 def test_zero_probability_cells_are_never_drawn(ref3):
     spec = simulate.ExperimentSpec(ref3.psi, ref3.space, samples=50000, seed=11)
     tally = simulate.run(spec)

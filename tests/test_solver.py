@@ -22,7 +22,7 @@ def sys4():
 
 
 def test_hermitian_basis_spans_and_is_orthogonal():
-    basis = solver.hermitian_basis(3)
+    basis = solver.from_coords(np.eye(9), 3)
     assert len(basis) == 9
     flat = np.array([b.reshape(-1) for b in basis])
     gram = (flat @ flat.conj().T).real
@@ -84,7 +84,7 @@ def test_coordinate_map_matches_loop_reference(n):
         assert np.array_equal(mats[idx], ref)
         assert np.array_equal(solver.from_coords(stack[idx], n), ref)
         assert np.array_equal(solver.coords(ref), _loop_coords(ref))
-    basis, ref = solver.hermitian_basis(n), _loop_basis(n)
+    basis, ref = solver.from_coords(np.eye(n * n), n), _loop_basis(n)
     assert len(basis) == len(ref) == n * n
     assert all(np.array_equal(b, r) for b, r in zip(basis, ref))
 
@@ -247,3 +247,104 @@ def test_solve_rejects_targets_with_separate_matrices(sys4):
         targets=[g, solver.LinearTarget(el.name, el.n, el.matrix.copy(), el.rhs)])
     with pytest.raises(ValueError):
         solver.solve(split)
+
+
+def _loop_purify(m, max_iter=200, stop=1e-13):
+    """The one-matrix purification, kept as the reference for the stacked one."""
+    for _ in range(max_iter):
+        m2 = m @ m
+        if np.max(np.abs(m2 - m)) < stop:
+            return m
+        m = 3 * m2 - 2 * m2 @ m
+        if not np.isfinite(m).all() or np.max(np.abs(m)) > 1e6:
+            return None
+    return None
+
+
+def _loop_filter(sol, tol=1e-9, draws=10000, box=2.0, seed=0, candidates=()):
+    """filter_projectors one starting point at a time, on _loop_purify."""
+    found = []
+
+    def consider(m):
+        m = _loop_purify(m)
+        if m is None or not (is_hermitian(m, tol) and is_idempotent(m, tol)):
+            return
+        delta = solver.coords(m) - sol.particular
+        if np.linalg.norm(delta - sol.nullspace.T @ (sol.nullspace @ delta)) > max(tol, 1e-8):
+            return
+        if all(np.max(np.abs(prev - m)) > 1e-8 for prev in found):
+            found.append(m)
+
+    for cand in candidates:
+        consider(sol.project(cand))
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        consider(sol.member(rng.uniform(-box, box, size=sol.nullity)))
+    return found
+
+
+def _mixed_starts(n, rng):
+    """Starts that converge, diverge past 1e6, turn non-finite or run out of steps."""
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(h)
+    eye = np.eye(n, dtype=complex)
+    starts = []
+    for spread in (0.1, 0.3, 0.45):  # eigenvalues near 0 and 1: converge
+        lam = np.where(np.arange(n) % 2, 1.0, 0.0) + rng.uniform(-spread, spread, n)
+        starts.append((q * lam) @ q.conj().T)
+    starts.append(np.diag(np.arange(n) % 2).astype(complex))  # a projector already
+    starts.append(10 * eye)                                   # grows past 1e6
+    starts.append(1e200 * eye)                                # overflows to inf/nan
+    starts.append(np.full((n, n), np.nan, dtype=complex))     # non-finite from the start
+    starts.append(0.5 * eye)                                  # fixed point 1/2: 200 steps
+    starts.append(0.5 * eye + (q * 1e-15) @ q.conj().T)       # leaves 1/2 slowly
+    return np.array(starts)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2, 6, 10])
+def test_stacked_purification_matches_one_matrix_loop(n):
+    rng = np.random.default_rng(40 + n)
+    stack = _mixed_starts(n, rng)
+    stack = stack[rng.permutation(len(stack))]
+    want = [_loop_purify(m) for m in stack]
+    assert any(w is None for w in want) and any(w is not None for w in want)
+    for part in (stack, stack[:1], stack[3:], stack[::-1]):
+        got = solver._purify(part)
+        ref = [_loop_purify(m) for m in part]
+        assert len(got) == len(part)
+        for g, r in zip(got, ref):
+            assert (g is None) == (r is None)
+            if r is not None:
+                assert g.tobytes() == r.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:overflow:RuntimeWarning")
+def test_stacked_purification_retires_by_each_test():
+    eye = np.eye(3, dtype=complex)
+    stack = np.array([10 * eye, 1e200 * eye, 0.5 * eye, np.diag([1.0, 0, 1]).astype(complex)])
+    got = solver._purify(stack)
+    assert got[:3] == [None, None, None]
+    assert got[3].tobytes() == stack[3].tobytes()
+    # the 1/2 fixed point is still finite and bounded: only the step limit drops it
+    assert solver._purify(stack[2:3], max_iter=1000)[0] is None
+    assert solver._purify(np.empty((0, 3, 3), dtype=complex)) == []
+    # a start first found converged after k - 1 steps is dropped with one step fewer
+    slow = np.array([np.diag([0.5 + 1e-12, 0.5 - 1e-12, 1.0]).astype(complex)])
+    k = next(k for k in range(1, 400) if _loop_purify(slow[0], max_iter=k) is not None)
+    assert k > 50
+    assert solver._purify(slow, max_iter=k - 1) == [None]
+    assert solver._purify(slow, max_iter=k)[0].tobytes() == _loop_purify(slow[0], k).tobytes()
+
+
+@pytest.mark.parametrize("with_core", [False, True], ids=["blind", "candidate"])
+def test_batched_filter_matches_one_at_a_time_across_batch_edges(sys3, with_core):
+    fx, _, (sol,) = sys3
+    cands = [fx.cores["G_I"]] if with_core else []
+    b = solver._BATCH
+    for draws in (0, 1, b - 1, b, b + 1, 800):
+        got = solver.filter_projectors(sol, fx.space, draws=draws, seed=1, candidates=cands)
+        want = _loop_filter(sol, draws=draws, seed=1, candidates=cands)
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in want], draws
