@@ -21,7 +21,7 @@ for name in ("spin32", "dim10"):
           f"product dim = {fx.space.dim} ===")
     cs = solver.assemble(slit_projector(fx.space), fx.psi, fx.space)
     print(f"mode {cs.mode}, degenerate: {cs.degenerate}, "
-          f"{len(cs.targets)} unknown core(s)")
+          f"{len(cs.rhs)} unknown core(s)")
 
     for sol in solver.solve(cs):
         core = fx.cores[f"{sol.name}_I"]

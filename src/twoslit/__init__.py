@@ -8,9 +8,9 @@ against a brute-force constraint solver, and samples the joint outcome
 statistics.
 """
 
-from .errors import (DimensionError, ModeError, NonCommutingError, ParamRangeError,
-                     SeedError, StateShapeError, TwoSlitError, ZeroConditioningError,
-                     ZeroDivisorError)
+from .errors import (DimensionError, FormatError, ModeError, NonCommutingError,
+                     ParamRangeError, SeedError, StateShapeError, TwoSlitError,
+                     ZeroConditioningError, ZeroDivisorError)
 from .family3 import Family3Params
 from .family4 import Family4Params
 from .fixtures import fixture, fixture_bundle, fixture_names
@@ -20,7 +20,7 @@ from .verify import VerificationReport, verify_bundle
 __version__ = "0.1.0"
 
 __all__ = [
-    "DimensionError", "Family3Params", "Family4Params",
+    "DimensionError", "Family3Params", "Family4Params", "FormatError",
     "ModeError", "NonCommutingError", "ParamRangeError", "ProductSpace",
     "SeedError", "SolutionBundle", "StateShapeError",
     "TwoSlitError", "VerificationReport", "ZeroConditioningError", "ZeroDivisorError",

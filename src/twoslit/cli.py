@@ -40,9 +40,9 @@ def _report_payload(report):
     return payload
 
 
-def _generate(args, family, params_from_json, default_fixture):
+def _generate(args, family, params_class, default_fixture):
     if args.params:
-        params = params_from_json(jsonio.read_json(args.params))
+        params = jsonio.params_from_json(params_class, jsonio.read_json(args.params))
     else:
         params = fixture(default_fixture).params
     bundle = family.build(params)
@@ -52,11 +52,11 @@ def _generate(args, family, params_from_json, default_fixture):
 
 
 def cmd_generate3(args):
-    return _generate(args, family3, jsonio.params3_from_json, "spin32")
+    return _generate(args, family3, family3.Family3Params, "spin32")
 
 
 def cmd_generate4(args):
-    return _generate(args, family4, jsonio.params4_from_json, "dim10")
+    return _generate(args, family4, family4.Family4Params, "dim10")
 
 
 def cmd_verify(args):

@@ -36,3 +36,7 @@ class ZeroConditioningError(TwoSlitError):
 class ZeroDivisorError(TwoSlitError, ZeroDivisionError):
     """A quantity some formula divides by is zero (a coefficient, or a
     detector count that conditions a probability)."""
+
+
+class FormatError(TwoSlitError):
+    """JSON input holds a value of the wrong type or form."""

@@ -13,7 +13,8 @@ and are exposed through :func:`derive_u` / :func:`derive_q` and the
 bundle's ``derived`` dict.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
 
 import numpy as np
 
@@ -21,9 +22,33 @@ from .errors import ParamRangeError, SeedError
 from .linalg import as_cvector
 from .space import ProductSpace, SolutionBundle, assemble
 
+# A parameter dataclass's field annotations are its schema: float, int,
+# complex or np.ndarray (a seed vector); jsonio encodes by the same types.
+_COERCE = {float: float, int: int, complex: complex, np.ndarray: as_cvector}
 
-def _unit_seed():
+
+def unit_seed():
     return np.ones(1, dtype=complex)
+
+
+@cache
+def _schema(cls):
+    """(name, coercion) of each field of a parameter dataclass, and the seed names."""
+    return ([(f.name, _COERCE[f.type]) for f in fields(cls)],
+            [f.name for f in fields(cls) if f.type is np.ndarray])
+
+
+def coerce_fields(params):
+    """Convert each field of a parameter dataclass to its annotated type."""
+    for name, convert in _schema(type(params))[0]:
+        setattr(params, name, convert(getattr(params, name)))
+
+
+def check_seeds(params):
+    """Raise SeedError for the first seed vector that is zero."""
+    for name in _schema(type(params))[1]:
+        if np.linalg.norm(getattr(params, name)) == 0.0:
+            raise SeedError(f"{name} must be nonzero")
 
 
 @dataclass
@@ -34,18 +59,13 @@ class Family3Params:
     mu3: complex = 0.0
     lambda2: complex = 0.0
     lambda3: complex = 0.0
-    seed_a3: np.ndarray = field(default_factory=_unit_seed)
-    seed_b2: np.ndarray = field(default_factory=_unit_seed)
-    seed_gamma3: np.ndarray = field(default_factory=_unit_seed)
-    seed_delta2: np.ndarray = field(default_factory=_unit_seed)
+    seed_a3: np.ndarray = field(default_factory=unit_seed)
+    seed_b2: np.ndarray = field(default_factory=unit_seed)
+    seed_gamma3: np.ndarray = field(default_factory=unit_seed)
+    seed_delta2: np.ndarray = field(default_factory=unit_seed)
 
     def __post_init__(self):
-        self.p = float(self.p)
-        self.theta = float(self.theta)
-        for name in ("mu2", "mu3", "lambda2", "lambda3"):
-            setattr(self, name, complex(getattr(self, name)))
-        for name in ("seed_a3", "seed_b2", "seed_gamma3", "seed_delta2"):
-            setattr(self, name, as_cvector(getattr(self, name)))
+        coerce_fields(self)
 
     # scalar combinations that recur in every formula
     @property
@@ -77,9 +97,7 @@ class Family3Params:
         lo, hi = self.p_interval
         if not (lo < self.p < hi):
             raise ParamRangeError(f"p={self.p} outside open interval ({lo}, {hi})")
-        for name in ("seed_a3", "seed_b2", "seed_gamma3", "seed_delta2"):
-            if np.linalg.norm(getattr(self, name)) == 0.0:
-                raise SeedError(f"{name} must be nonzero")
+        check_seeds(self)
 
 
 def derive_u(params: Family3Params) -> complex:

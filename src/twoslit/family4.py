@@ -15,13 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ParamRangeError, SeedError, ZeroDivisorError
-from .linalg import as_cvector
+from .errors import DimensionError, ParamRangeError, ZeroDivisorError
+from .family3 import check_seeds, coerce_fields, unit_seed
 from .space import ProductSpace, SolutionBundle, assemble
-
-
-def _unit_seed():
-    return np.ones(1, dtype=complex)
 
 
 @dataclass
@@ -30,6 +26,9 @@ class Family4Params:
     m: float
     theta1: float = 0.0
     theta2: float = 0.0
+    # blocks 2 and 6 carry no component of psi; their sizes are free
+    dim_block2: int = 1
+    dim_block6: int = 1
     # x-side coefficients (first five H_I rows)
     a2: complex = 1.0
     a3: complex = 1.0
@@ -43,38 +42,25 @@ class Family4Params:
     beta5: complex = 1.0
     lambda5: complex = 1.0
     # one seed vector per populated sub-block of psi
-    seed_a5: np.ndarray = field(default_factory=_unit_seed)
-    seed_c5: np.ndarray = field(default_factory=_unit_seed)
-    seed_e4: np.ndarray = field(default_factory=_unit_seed)
-    seed_e5: np.ndarray = field(default_factory=_unit_seed)
-    seed_delta5: np.ndarray = field(default_factory=_unit_seed)
-    seed_eta5: np.ndarray = field(default_factory=_unit_seed)
-    seed_theta4: np.ndarray = field(default_factory=_unit_seed)
-    seed_theta5: np.ndarray = field(default_factory=_unit_seed)
-    # blocks 2 and 6 carry no component of psi; their sizes are free
-    dim_block2: int = 1
-    dim_block6: int = 1
+    seed_a5: np.ndarray = field(default_factory=unit_seed)
+    seed_c5: np.ndarray = field(default_factory=unit_seed)
+    seed_e4: np.ndarray = field(default_factory=unit_seed)
+    seed_e5: np.ndarray = field(default_factory=unit_seed)
+    seed_delta5: np.ndarray = field(default_factory=unit_seed)
+    seed_eta5: np.ndarray = field(default_factory=unit_seed)
+    seed_theta4: np.ndarray = field(default_factory=unit_seed)
+    seed_theta5: np.ndarray = field(default_factory=unit_seed)
 
     def __post_init__(self):
-        self.p = float(self.p)
-        self.m = float(self.m)
-        self.theta1 = float(self.theta1)
-        self.theta2 = float(self.theta2)
-        for name in ("a2", "a3", "b4", "b5", "l5",
-                     "alpha2", "alpha3", "beta4", "beta5", "lambda5"):
-            setattr(self, name, complex(getattr(self, name)))
-        for name in ("seed_a5", "seed_c5", "seed_e4", "seed_e5",
-                     "seed_delta5", "seed_eta5", "seed_theta4", "seed_theta5"):
-            setattr(self, name, as_cvector(getattr(self, name)))
-        if len(self.seed_e4) != len(self.seed_e5):
-            raise DimensionError("seed_e4 and seed_e5 must share a block, equal lengths required")
-        if len(self.seed_theta4) != len(self.seed_theta5):
-            raise DimensionError("seed_theta4 and seed_theta5 must share a block, equal lengths required")
+        coerce_fields(self)
+        for a, b in (("seed_e4", "seed_e5"), ("seed_theta4", "seed_theta5")):
+            if len(getattr(self, a)) != len(getattr(self, b)):
+                raise DimensionError(f"{a} and {b} must share a block, equal lengths required")
 
     def space(self):
         return ProductSpace(10, (
-            len(self.seed_a5), int(self.dim_block2), len(self.seed_c5),
-            len(self.seed_delta5), len(self.seed_e4), int(self.dim_block6),
+            len(self.seed_a5), self.dim_block2, len(self.seed_c5),
+            len(self.seed_delta5), len(self.seed_e4), self.dim_block6,
             len(self.seed_eta5), len(self.seed_theta4),
         ))
 
@@ -82,10 +68,7 @@ class Family4Params:
         for name in ("b4", "beta4", "b5", "l5", "beta5", "lambda5"):
             if getattr(self, name) == 0:
                 raise ZeroDivisorError(f"{name} = 0 divides the coefficient formulas")
-        for name in ("seed_a5", "seed_c5", "seed_e4", "seed_e5",
-                     "seed_delta5", "seed_eta5", "seed_theta4", "seed_theta5"):
-            if np.linalg.norm(getattr(self, name)) == 0.0:
-                raise SeedError(f"{name} must be nonzero")
+        check_seeds(self)
 
 
 @dataclass
@@ -131,23 +114,25 @@ class Family4Coefficients:
                 "l4": self.l4, "lambda4": self.lambda4}
 
 
+def _side(c2, c3, d4, d5, e5):
+    """The sums one side's letters fix: (a2, a3, b4, b5, l5) give s_a, l4, C, D,
+    A2, A3, B2, B3, and the y-side letters s_alpha, lambda4, Gamma, Delta,
+    Lambda2, Lambda3, Sigma2, Sigma3."""
+    s = 1 + abs(c2) ** 2 + abs(c3) ** 2
+    e4 = c2 * np.conj(c3) / (np.conj(d4) * s) - e5 * np.conj(d5) / np.conj(d4)
+    norm1 = (1 + abs(c3) ** 2) + (abs(d4) ** 2 + abs(d5) ** 2) * s
+    norm2 = (1 + abs(c2) ** 2) + (abs(e4) ** 2 + abs(e5) ** 2) * s
+    return (s, e4, norm1, norm2, abs(c2) ** 2 / norm1, (1 + abs(c3) ** 2) / norm1,
+            (1 + abs(c2) ** 2) / norm2, abs(c3) ** 2 / norm2)
+
+
 def derive_coefficients(params: Family4Params) -> Family4Coefficients:
     """Resolve every derived scalar, validating the p and m ranges."""
     params.validate()
     pr = params
-    s_a = 1 + abs(pr.a2) ** 2 + abs(pr.a3) ** 2
-    s_al = 1 + abs(pr.alpha2) ** 2 + abs(pr.alpha3) ** 2
-    l4 = pr.a2 * np.conj(pr.a3) / (np.conj(pr.b4) * s_a) - pr.l5 * np.conj(pr.b5) / np.conj(pr.b4)
-    lambda4 = (pr.alpha2 * np.conj(pr.alpha3) / (np.conj(pr.beta4) * s_al)
-               - pr.lambda5 * np.conj(pr.beta5) / np.conj(pr.beta4))
-    big_c = (1 + abs(pr.a3) ** 2) + (abs(pr.b4) ** 2 + abs(pr.b5) ** 2) * s_a
-    gamma = (1 + abs(pr.alpha3) ** 2) + (abs(pr.beta4) ** 2 + abs(pr.beta5) ** 2) * s_al
-    big_d = (1 + abs(pr.a2) ** 2) + (abs(l4) ** 2 + abs(pr.l5) ** 2) * s_a
-    delta = (1 + abs(pr.alpha2) ** 2) + (abs(lambda4) ** 2 + abs(pr.lambda5) ** 2) * s_al
-    a2f, a3f = abs(pr.a2) ** 2 / big_c, (1 + abs(pr.a3) ** 2) / big_c
-    b2f, b3f = (1 + abs(pr.a2) ** 2) / big_d, abs(pr.a3) ** 2 / big_d
-    lam2, lam3 = abs(pr.alpha2) ** 2 / gamma, (1 + abs(pr.alpha3) ** 2) / gamma
-    sig2, sig3 = (1 + abs(pr.alpha2) ** 2) / delta, abs(pr.alpha3) ** 2 / delta
+    s_a, l4, big_c, big_d, a2f, a3f, b2f, b3f = _side(pr.a2, pr.a3, pr.b4, pr.b5, pr.l5)
+    s_al, lambda4, gamma, delta, lam2, lam3, sig2, sig3 = _side(
+        pr.alpha2, pr.alpha3, pr.beta4, pr.beta5, pr.lambda5)
 
     plo, phi = a2f / s_a, (a2f + 1) / s_a
     if not (plo < pr.p < phi):
@@ -254,46 +239,31 @@ def core_projectors(params: Family4Params):
     return g_core, l_core, co
 
 
-def _dependence_ladders(params: Family4Params, co: Family4Coefficients):
-    """Per-row multipliers of the seed vectors in each populated block.
-
-    Returns (gx, hx, sx, tx, gy, hy, sy, ty): rows i of the x side carry
-    gx[i]*seed_a5 in block 1, hx[i]*seed_c5 in block 3 and
-    sx[i]*seed_e4 + tx[i]*seed_e5 in block 5; rows j of the y side carry
-    gy[j]*seed_delta5 in block 4, hy[j]*seed_eta5 in block 7 and
-    sy[j]*seed_theta4 + ty[j]*seed_theta5 in block 8.
-    """
-    pr = params
+def _ladder(c2, c3, d4, d5, e4, e5, f3, f, g2, g):
+    """One side's multipliers of its four seed vectors over its five rows, from
+    (a2, a3, b4, b5, l4, l5) and (A3, A, B2, B) for the x side, or the
+    y-side letters and (Lambda3, Lambda, Sigma2, Sigma)."""
     c = np.conj
-    # y side
-    g2 = -co.Lambda3 / (c(pr.beta5) * co.Lambda)
-    g4 = c(pr.beta4) / c(pr.beta5)
-    g3 = co.lambda4 * g4 + pr.lambda5
-    g1 = pr.alpha2 * g2 + pr.alpha3 * g3
-    mu4 = c(co.lambda4) / c(pr.lambda5)
-    mu3 = -co.Sigma2 / (c(pr.lambda5) * co.Sigma)
-    h2 = pr.beta4 * mu4 + pr.beta5
-    h1 = pr.alpha2 * h2 + pr.alpha3 * mu3
-    gy = np.array([g1, g2, g3, g4, 1.0])
-    hy = np.array([h1, h2, mu3, mu4, 1.0])
-    sy = np.array([pr.alpha2 * pr.beta4 + pr.alpha3 * co.lambda4,
-                   pr.beta4, co.lambda4, 1.0, 0.0])
-    ty = np.array([pr.alpha2 * pr.beta5 + pr.alpha3 * pr.lambda5,
-                   pr.beta5, pr.lambda5, 0.0, 1.0])
-    # x side, same ladder with the x-side letters
-    gg2 = -co.A3 / (c(pr.b5) * co.A)
-    gg4 = c(pr.b4) / c(pr.b5)
-    gg3 = co.l4 * gg4 + pr.l5
-    gg1 = pr.a2 * gg2 + pr.a3 * gg3
-    mm4 = c(co.l4) / c(pr.l5)
-    mm3 = -co.B2 / (c(pr.l5) * co.B)
-    hh2 = pr.b4 * mm4 + pr.b5
-    hh1 = pr.a2 * hh2 + pr.a3 * mm3
-    gx = np.array([gg1, gg2, gg3, gg4, 1.0])
-    hx = np.array([hh1, hh2, mm3, mm4, 1.0])
-    sx = np.array([pr.a2 * pr.b4 + pr.a3 * co.l4, pr.b4, co.l4, 1.0, 0.0])
-    tx = np.array([pr.a2 * pr.b5 + pr.a3 * pr.l5, pr.b5, pr.l5, 0.0, 1.0])
-    return gx, hx, sx, tx, gy, hy, sy, ty
+    k2 = -f3 / (c(d5) * f)
+    k4 = c(d4) / c(d5)
+    k3 = e4 * k4 + e5
+    k1 = c2 * k2 + c3 * k3
+    mu4 = c(e4) / c(e5)
+    mu3 = -g2 / (c(e5) * g)
+    h2 = d4 * mu4 + d5
+    h1 = c2 * h2 + c3 * mu3
+    return (np.array([k1, k2, k3, k4, 1.0]), np.array([h1, h2, mu3, mu4, 1.0]),
+            np.array([c2 * d4 + c3 * e4, d4, e4, 1.0, 0.0]),
+            np.array([c2 * d5 + c3 * e5, d5, e5, 0.0, 1.0]))
+
+
+def _dependence_ladders(params: Family4Params, co: Family4Coefficients):
+    """Per-row multipliers of the seed vectors, (gx, hx, sx, tx, gy, hy, sy, ty);
+    :func:`state` shows which seed and block each one scales."""
+    pr = params
+    return (_ladder(pr.a2, pr.a3, pr.b4, pr.b5, co.l4, pr.l5, co.A3, co.A, co.B2, co.B)
+            + _ladder(pr.alpha2, pr.alpha3, pr.beta4, pr.beta5, co.lambda4, pr.lambda5,
+                      co.Lambda3, co.Lambda, co.Sigma2, co.Sigma))
 
 
 def state(params: Family4Params, co: Family4Coefficients = None):
@@ -303,21 +273,15 @@ def state(params: Family4Params, co: Family4Coefficients = None):
     params.validate()
     sp = params.space()
     gx, hx, sx, tx, gy, hy, sy, ty = _dependence_ladders(params, co)
-    zeros = [np.zeros(b, dtype=complex) for b in sp.partition]
-    rows = []
-    for i in range(5):
-        row = list(zeros)
-        row[0] = gx[i] * params.seed_a5
-        row[2] = hx[i] * params.seed_c5
-        row[4] = sx[i] * params.seed_e4 + tx[i] * params.seed_e5
-        rows.append(np.concatenate(row))
-    for j in range(5):
-        row = list(zeros)
-        row[3] = gy[j] * params.seed_delta5
-        row[6] = hy[j] * params.seed_eta5
-        row[7] = sy[j] * params.seed_theta4 + ty[j] * params.seed_theta5
-        rows.append(np.concatenate(row))
-    psi = np.concatenate(rows)
+    # the x side fills blocks 1, 3, 5 of rows 1-5, the y side blocks 4, 7, 8 of rows 6-10
+    block = [np.zeros((10, b), dtype=complex) for b in sp.partition]
+    block[0][:5] = np.outer(gx, params.seed_a5)
+    block[2][:5] = np.outer(hx, params.seed_c5)
+    block[4][:5] = np.outer(sx, params.seed_e4) + np.outer(tx, params.seed_e5)
+    block[3][5:] = np.outer(gy, params.seed_delta5)
+    block[6][5:] = np.outer(hy, params.seed_eta5)
+    block[7][5:] = np.outer(sy, params.seed_theta4) + np.outer(ty, params.seed_theta5)
+    psi = np.concatenate(block, axis=1).reshape(-1)
     return psi / np.linalg.norm(psi)
 
 

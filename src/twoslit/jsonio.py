@@ -9,13 +9,27 @@ whitespace.
 """
 
 import json
+from dataclasses import MISSING, fields
+from functools import wraps
 
 import numpy as np
 
-from .errors import DimensionError, ModeError
+from .errors import DimensionError, FormatError, ModeError
 from .family3 import Family3Params
 from .family4 import Family4Params
 from .space import ProductSpace, SolutionBundle
+
+
+def _reading(from_json):
+    """Report a value of the wrong JSON type (a null where a number or an
+    object belongs, a list for an object) as FormatError."""
+    @wraps(from_json)
+    def read(*args):
+        try:
+            return from_json(*args)
+        except (TypeError, AttributeError) as exc:
+            raise FormatError(f"malformed input: {exc}") from exc
+    return read
 
 
 def complex_to_pair(z):
@@ -62,6 +76,7 @@ def matrix_to_json(m):
     return {"rows": m.shape[0], "cols": m.shape[1], "data": _to_pairs(m)}
 
 
+@_reading
 def matrix_from_json(d):
     rows, cols = int(d["rows"]), int(d["cols"])
     data = d["data"]
@@ -77,6 +92,7 @@ def vector_to_json(v):
     return {"dim": v.shape[0], "data": _to_pairs(v)}
 
 
+@_reading
 def vector_from_json(d):
     data = d["data"]
     if len(data) != int(d["dim"]):
@@ -88,6 +104,7 @@ def space_to_json(sp):
     return {"dim_i": sp.dim_i, "rank_e": sp.rank_e, "partition": list(sp.partition)}
 
 
+@_reading
 def space_from_json(d):
     sp = ProductSpace(int(d["dim_i"]), tuple(d["partition"]))
     rank = d.get("rank_e")
@@ -96,56 +113,26 @@ def space_from_json(d):
     return sp
 
 
-_P3_COMPLEX = ("mu2", "mu3", "lambda2", "lambda3")
-_P3_SEEDS = ("seed_a3", "seed_b2", "seed_gamma3", "seed_delta2")
-_P4_COMPLEX = ("a2", "a3", "b4", "b5", "l5", "alpha2", "alpha3", "beta4", "beta5", "lambda5")
-_P4_SEEDS = ("seed_a5", "seed_c5", "seed_e4", "seed_e5",
-             "seed_delta5", "seed_eta5", "seed_theta4", "seed_theta5")
+# encoders and decoders by the annotated type of a parameter field
+_ENCODE = {float: float, int: int, complex: complex_to_pair, np.ndarray: vector_to_json}
+_DECODE = {float: float, int: int, complex: pair_to_complex, np.ndarray: vector_from_json}
 
 
-def params3_to_json(p: Family3Params):
-    out = {"p": p.p, "theta": p.theta}
-    out.update({k: complex_to_pair(getattr(p, k)) for k in _P3_COMPLEX})
-    out.update({k: vector_to_json(getattr(p, k)) for k in _P3_SEEDS})
-    return out
+def params_to_json(p):
+    """A family's parameters: one key per dataclass field, in field order."""
+    return {f.name: _ENCODE[f.type](getattr(p, f.name)) for f in fields(p)}
 
 
-def params3_from_json(d):
-    kwargs = {"p": float(d["p"]), "theta": float(d.get("theta", 0.0))}
-    for k in _P3_COMPLEX:
-        if k in d:
-            kwargs[k] = pair_to_complex(d[k])
-    for k in _P3_SEEDS:
-        if k in d:
-            kwargs[k] = vector_from_json(d[k])
-    return Family3Params(**kwargs)
-
-
-def params4_to_json(p: Family4Params):
-    out = {"p": p.p, "m": p.m, "theta1": p.theta1, "theta2": p.theta2,
-           "dim_block2": p.dim_block2, "dim_block6": p.dim_block6}
-    out.update({k: complex_to_pair(getattr(p, k)) for k in _P4_COMPLEX})
-    out.update({k: vector_to_json(getattr(p, k)) for k in _P4_SEEDS})
-    return out
-
-
-def params4_from_json(d):
-    kwargs = {"p": float(d["p"]), "m": float(d["m"]),
-              "theta1": float(d.get("theta1", 0.0)), "theta2": float(d.get("theta2", 0.0))}
-    for k in _P4_COMPLEX:
-        if k in d:
-            kwargs[k] = pair_to_complex(d[k])
-    for k in _P4_SEEDS:
-        if k in d:
-            kwargs[k] = vector_from_json(d[k])
-    for k in ("dim_block2", "dim_block6"):
-        if k in d:
-            kwargs[k] = int(d[k])
-    return Family4Params(**kwargs)
+@_reading
+def params_from_json(cls, d):
+    """Parameters of dataclass ``cls``; absent fields take their defaults,
+    and an absent required field raises KeyError."""
+    return cls(**{f.name: _DECODE[f.type](d[f.name]) for f in fields(cls)
+                  if f.name in d or (f.default is MISSING and f.default_factory is MISSING)})
 
 
 _KINDS = {3: "two-detector", 4: "three-detector"}  # by space mode
-_PARAMS = {3: (params3_to_json, params3_from_json), 4: (params4_to_json, params4_from_json)}
+_PARAMS = {3: Family3Params, 4: Family4Params}
 _OPERATORS = {3: ("E", "G", "T", "Y"), 4: ("E", "G", "T", "Y", "L", "W")}
 _CORES = {3: ("G_I",), 4: ("G_I", "L_I")}
 
@@ -153,7 +140,6 @@ _CORES = {3: ("G_I",), 4: ("G_I", "L_I")}
 def bundle_to_json(bundle):
     """Encode a bundle; ``derived`` complex values travel as [re, im] pairs."""
     mode = bundle.space.mode
-    params_to_json, _ = _PARAMS[mode]
     derived = bundle.derived
     return {
         "kind": _KINDS[mode],
@@ -169,6 +155,7 @@ def bundle_to_json(bundle):
     }
 
 
+@_reading
 def bundle_from_json(d):
     """Rebuild a bundle from its JSON form, so that re-encoding it gives d back.
 
@@ -181,7 +168,6 @@ def bundle_from_json(d):
     kind = d.get("kind")
     if kind is not None and kind != _KINDS[sp.mode]:
         raise ModeError(f"bundle kind {kind!r} does not match a {len(sp.partition)}-block space")
-    _, params_from_json = _PARAMS[sp.mode]
     ops = d["operators"]
     core = d.get("core", {})
     derived = d.get("derived")
@@ -189,7 +175,7 @@ def bundle_from_json(d):
         space=sp, psi=vector_from_json(d["psi"]),
         **{k: matrix_from_json(ops[k]) for k in _OPERATORS[sp.mode]},
         **{k: matrix_from_json(core[k]) if k in core else None for k in _CORES[sp.mode]},
-        params=params_from_json(d["params"]) if d.get("params") else None,
+        params=params_from_json(_PARAMS[sp.mode], d["params"]) if d.get("params") else None,
         derived=None if derived is None else {
             k: pair_to_complex(v) if isinstance(v, list) else float(v)
             for k, v in derived.items()},

@@ -48,34 +48,22 @@ def coords(m):
 
 
 @dataclass
-class LinearTarget:
-    """One unknown matrix and the real linear system pinning it down."""
-
-    name: str
-    n: int
-    matrix: np.ndarray  # real, (2 * dim) x n^2
-    rhs: np.ndarray
-
-    def residual_of(self, m):
-        return float(np.linalg.norm(self.matrix @ coords(m) - self.rhs))
-
-
-@dataclass
 class ConstraintSystem:
+    """One real system matrix, (2 * dim) x n^2, shared by every unknown core,
+    and a right-hand side per core: "G", then "L" in three-detector mode."""
+
     space: ProductSpace
-    mode: int
-    targets: list
+    matrix: np.ndarray
+    rhs: dict
     degenerate: bool
     psi: np.ndarray
 
-    def target(self, name):
-        for t in self.targets:
-            if t.name == name:
-                return t
-        raise KeyError(name)
+    @property
+    def mode(self):
+        return self.space.mode
 
     def residual_of(self, name, m):
-        return self.target(name).residual_of(m)
+        return float(np.linalg.norm(self.matrix @ coords(m) - self.rhs[name]))
 
 
 @dataclass
@@ -116,6 +104,23 @@ def _pattern_check(psi, sp, in_e, scale):
             "violating the detector support pattern")
 
 
+def _system_matrix(rows):
+    """The real matrix taking ``coords(G)`` to the real, then the imaginary
+    parts of ``(G @ rows).reshape(-1)``; column k is the k-th basis matrix
+    times ``rows``, written by the index arrays of ``from_coords``."""
+    n, m = rows.shape
+    iu, ju = np.triu_indices(n, 1)
+    diag, sym = np.arange(n), n + 2 * np.arange(len(iu))  # sym + 1: antisymmetric units
+    cols = np.zeros((n * n, n, m), dtype=complex)
+    cols[diag, diag] = rows
+    cols[sym, iu] = rows[ju]
+    cols[sym, ju] = rows[iu]
+    cols[sym + 1, iu] = 1j * rows[ju]
+    cols[sym + 1, ju] = -1j * rows[iu]
+    cols = cols.reshape(n * n, -1)
+    return np.concatenate([cols.real, cols.imag], axis=1).T
+
+
 def assemble(E_I, psi, sp: ProductSpace) -> ConstraintSystem:
     """Linear system(s) whose Hermitian solutions reproduce the detector
     outcomes: {G : Y psi = (G x 1) psi} and, in 8-block mode,
@@ -130,45 +135,37 @@ def assemble(E_I, psi, sp: ProductSpace) -> ConstraintSystem:
     scale = max(float(np.linalg.norm(psi)), 1.0)
     _pattern_check(psi, sp, np.abs(E_I.diagonal() - 1) < 1e-9, scale)
 
-    n = sp.dim_i
     rows = psi.reshape(sp.dim_i, sp.dim_ii)
-    # column k is (basis_k @ rows) flattened, real parts above imaginary parts
-    cols = (from_coords(np.eye(n * n), n) @ rows).reshape(n * n, -1)
-    a = np.concatenate([cols.real, cols.imag], axis=1).T
-
-    targets = []
+    rhs = {}
     pairs = [("G", "Y"), ("L", "W")] if sp.mode == 4 else [("G", "Y")]
     for name, detector in pairs:
         rhs_c = (rows * np.repeat(detector_flags(sp, detector), sp.partition)).reshape(-1)
-        targets.append(LinearTarget(name, n, a, np.concatenate([rhs_c.real, rhs_c.imag])))
+        rhs[name] = np.concatenate([rhs_c.real, rhs_c.imag])
 
     e_psi = (E_I @ rows).reshape(-1)
     degenerate = bool(np.linalg.norm(e_psi) <= 1e-10 * scale
                       or np.linalg.norm(psi - e_psi) <= 1e-10 * scale)
-    return ConstraintSystem(space=sp, mode=sp.mode, targets=targets,
+    return ConstraintSystem(space=sp, matrix=_system_matrix(rows), rhs=rhs,
                             degenerate=degenerate, psi=psi.copy())
 
 
 def solve(cs: ConstraintSystem):
-    """Affine solution set for each target: least-squares particular point
-    plus an orthonormal basis of the homogeneous nullspace.
+    """Affine solution set for each unknown core: least-squares particular
+    point plus an orthonormal basis of the homogeneous nullspace.
 
-    All targets share the system matrix ``assemble`` builds, so one
-    least-squares solve over the stacked right-hand sides and one SVD
-    serve every target.
+    The cores share one system matrix, so one least-squares solve over the
+    stacked right-hand sides and one SVD serve them all.
     """
-    a = cs.targets[0].matrix
-    if any(tgt.matrix is not a for tgt in cs.targets):
-        raise ValueError("solve needs targets that share one system matrix")
-    x0, *_ = np.linalg.lstsq(a, np.column_stack([tgt.rhs for tgt in cs.targets]), rcond=None)
+    a = cs.matrix
+    x0, *_ = np.linalg.lstsq(a, np.column_stack(list(cs.rhs.values())), rcond=None)
     x0 = np.ascontiguousarray(x0.T)  # one particular point per row
     _, sv, vt = np.linalg.svd(a)
     smax = sv[0] if sv.size else 0.0
     rank = int(np.sum(sv > 1e-10 * max(smax, 1.0)))
     return [AffineSolutionSet(
-        name=tgt.name, n=tgt.n, particular=x, nullspace=vt[rank:],
-        residual=float(np.linalg.norm(a @ x - tgt.rhs)))
-        for tgt, x in zip(cs.targets, x0)]
+        name=name, n=cs.space.dim_i, particular=x, nullspace=vt[rank:],
+        residual=float(np.linalg.norm(a @ x - rhs)))
+        for (name, rhs), x in zip(cs.rhs.items(), x0)]
 
 
 def _purify(m, max_iter=200, stop=1e-13):

@@ -55,7 +55,7 @@ def test_generate3_default_point(capsys):
 
 
 def test_generate4_with_params_file(capsys, tmp_path):
-    params = jsonio.params4_to_json(fixtures.fixture("dim10").params)
+    params = jsonio.params_to_json(fixtures.fixture("dim10").params)
     path = tmp_path / "params.json"
     path.write_text(json.dumps(params))
     rc, payload = run_json(capsys, "generate4", "--params", str(path))
@@ -200,7 +200,7 @@ def test_reports_name_the_verification_method(capsys, tmp_path):
 
 
 def test_generate4_zero_divisor_exits_2_without_traceback(capsys, tmp_path):
-    params = jsonio.params4_to_json(fixtures.fixture("dim10").params)
+    params = jsonio.params_to_json(fixtures.fixture("dim10").params)
     params["b4"] = [0.0, 0.0]
     path = tmp_path / "params.json"
     path.write_text(json.dumps(params))
@@ -240,6 +240,45 @@ def test_verify_malformed_operator_data_exits_2(capsys, tmp_path, entry):
     assert run_cli(capsys, "generate4", "--out", str(path))[0] == 0
     blob = json.loads(path.read_text())
     blob["bundle"]["operators"]["G"]["data"][3] = entry
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    rc, out, err = run_cli(capsys, "verify", "--bundle", str(bad))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, key", [("generate3", "p"), ("generate3", "theta"),
+                                          ("generate4", "dim_block2")])
+def test_null_parameter_value_exits_2(capsys, tmp_path, command, key):
+    params = jsonio.params_to_json(fixtures.fixture(
+        "spin32" if command == "generate3" else "dim10").params)
+    params[key] = None
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    rc, out, err = run_cli(capsys, command, "--params", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def _set(blob, path, value):
+    for key in path[:-1]:
+        blob = blob[key]
+    blob[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value", [
+    (("space",), None), (("psi",), None), (("params", "p"), None),
+    (("params", "seed_a3"), None), (("derived", "q"), None),
+    (("space", "partition"), None), (("operators",), []),
+], ids=["space", "psi", "params.p", "params.seed_a3", "derived.q", "space.partition",
+        "operators-list"])
+def test_verify_malformed_bundle_value_exits_2(capsys, tmp_path, path, value):
+    good = tmp_path / "b3.json"
+    assert run_cli(capsys, "generate3", "--out", str(good))[0] == 0
+    blob = json.loads(good.read_text())["bundle"]
+    _set(blob, path, value)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(blob))
     rc, out, err = run_cli(capsys, "verify", "--bundle", str(bad))

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from twoslit import family3, family4, fixtures, jsonio
-from twoslit.errors import DimensionError, ModeError
+from twoslit.errors import DimensionError, FormatError, ModeError
 from twoslit.space import ProductSpace
 from twoslit.verify import verify_bundle
 
@@ -47,12 +48,14 @@ def test_space_roundtrip_and_consistency():
 
 def test_params_roundtrips():
     p3 = fixtures.fixture("spin32").params
-    r3 = jsonio.params3_from_json(json.loads(json.dumps(jsonio.params3_to_json(p3))))
+    r3 = jsonio.params_from_json(family3.Family3Params,
+                                 json.loads(json.dumps(jsonio.params_to_json(p3))))
     assert r3.p == p3.p and r3.mu2 == p3.mu2 and r3.lambda3 == p3.lambda3
     assert np.array_equal(r3.seed_b2, p3.seed_b2)
 
     p4 = fixtures.fixture("dim10").params
-    r4 = jsonio.params4_from_json(json.loads(json.dumps(jsonio.params4_to_json(p4))))
+    r4 = jsonio.params_from_json(family4.Family4Params,
+                                 json.loads(json.dumps(jsonio.params_to_json(p4))))
     assert r4.p == p4.p and r4.m == p4.m and r4.beta5 == p4.beta5
     assert np.array_equal(r4.seed_theta4, p4.seed_theta4)
 
@@ -60,8 +63,88 @@ def test_params_roundtrips():
 def test_params_from_json_tolerates_missing_seeds():
     minimal = {"p": 2 / 3, "mu2": [1.7320508075688772, 0.0], "mu3": 1.0,
                "lambda2": [1.7320508075688772, 0.0], "lambda3": 1.0}
-    p = jsonio.params3_from_json(minimal)
+    p = jsonio.params_from_json(family3.Family3Params, minimal)
     assert np.array_equal(p.seed_a3, np.ones(1))
+
+
+def test_params_wire_keys_in_field_order():
+    assert list(jsonio.params_to_json(fixtures.fixture("spin32").params)) == [
+        "p", "theta", "mu2", "mu3", "lambda2", "lambda3",
+        "seed_a3", "seed_b2", "seed_gamma3", "seed_delta2"]
+    assert list(jsonio.params_to_json(fixtures.fixture("dim10").params)) == [
+        "p", "m", "theta1", "theta2", "dim_block2", "dim_block6",
+        "a2", "a3", "b4", "b5", "l5", "alpha2", "alpha3", "beta4", "beta5", "lambda5",
+        "seed_a5", "seed_c5", "seed_e4", "seed_e5",
+        "seed_delta5", "seed_eta5", "seed_theta4", "seed_theta5"]
+
+
+def _random_fields(rng, cls):
+    """Random values for every field of a parameter class, by annotated type;
+    seed vectors of one length per draw, so paired seeds always match."""
+    k = int(rng.integers(1, 4))
+    draw = {float: lambda: rng.normal(), int: lambda: int(rng.integers(1, 5)),
+            complex: lambda: complex(rng.normal(), rng.normal()),
+            np.ndarray: lambda: rng.normal(size=k) + 1j * rng.normal(size=k)}
+    return {f.name: draw[f.type]() for f in dataclasses.fields(cls)}
+
+
+def _assert_same_params(a, b):
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert type(x) is type(y), f.name
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("cls", [family3.Family3Params, family4.Family4Params])
+def test_params_round_trip_every_field(cls):
+    rng = np.random.default_rng(17)
+    seen_blocks, seen_lengths = set(), set()
+    for _ in range(100):
+        p = cls(**_random_fields(rng, cls))
+        again = jsonio.params_from_json(cls, json.loads(json.dumps(jsonio.params_to_json(p))))
+        _assert_same_params(again, p)
+        seen_blocks.add(getattr(p, "dim_block2", None))
+        seen_lengths.add(len(p.seed_delta2 if cls is family3.Family3Params else p.seed_e4))
+    assert max(seen_lengths) > 1
+    if cls is family4.Family4Params:
+        assert len(seen_blocks) > 1
+
+
+def test_family4_minimal_params_take_the_defaults():
+    p = jsonio.params_from_json(family4.Family4Params, {"p": 11 / 72, "m": 67 / 456})
+    _assert_same_params(p, family4.Family4Params(p=11 / 72, m=67 / 456))
+    assert p.dim_block2 == p.dim_block6 == 1
+
+
+def test_params_from_json_checks_paired_seed_lengths():
+    d = jsonio.params_to_json(fixtures.fixture("dim10").params)
+    d["seed_e4"] = jsonio.vector_to_json(np.ones(2))
+    with pytest.raises(DimensionError):
+        jsonio.params_from_json(family4.Family4Params, d)
+
+
+@pytest.mark.parametrize("cls, key", [(family3.Family3Params, "p"),
+                                      (family4.Family4Params, "p"),
+                                      (family4.Family4Params, "m")])
+def test_params_from_json_missing_required_key_raises_key_error(cls, key):
+    d = jsonio.params_to_json(fixtures.fixture("spin32" if cls is family3.Family3Params
+                                               else "dim10").params)
+    del d[key]
+    with pytest.raises(KeyError):
+        jsonio.params_from_json(cls, d)
+
+
+@pytest.mark.parametrize("key, error", [("p", FormatError), ("theta", FormatError),
+                                        ("seed_a3", FormatError), ("mu2", DimensionError)])
+def test_params_from_json_null_value_raises_a_typed_error(key, error):
+    d = jsonio.params_to_json(fixtures.fixture("spin32").params)
+    d[key] = None
+    with pytest.raises(error):
+        jsonio.params_from_json(family3.Family3Params, d)
 
 
 def test_bundle_roundtrip_two_detector():

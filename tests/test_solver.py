@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from twoslit import fixtures, solver
 from twoslit.errors import StateShapeError
 from twoslit.linalg import is_hermitian, is_idempotent
-from twoslit.space import detector_flags, slit_projector
+from twoslit.space import ProductSpace, detector_flags, slit_projector
 
 
 @pytest.fixture(scope="module")
@@ -230,23 +232,50 @@ def test_three_detector_system_solution(sys4):
 
 def test_one_factorisation_matches_per_target_solves(sys4):
     _, cs, sols = sys4
-    a = cs.targets[0].matrix
-    _, sv, vt = np.linalg.svd(a)
-    for tgt, sol in zip(cs.targets, sols):
-        x0, *_ = np.linalg.lstsq(a, tgt.rhs, rcond=None)
+    assert list(cs.rhs) == [sol.name for sol in sols] == ["G", "L"]
+    _, sv, vt = np.linalg.svd(cs.matrix)
+    for rhs, sol in zip(cs.rhs.values(), sols):
+        x0, *_ = np.linalg.lstsq(cs.matrix, rhs, rcond=None)
         assert np.max(np.abs(sol.particular - x0)) < 1e-12
         ref = vt[vt.shape[0] - sol.nullity:]
         assert np.max(np.abs(sol.nullspace.T @ sol.nullspace - ref.T @ ref)) < 1e-12
 
 
-def test_solve_rejects_targets_with_separate_matrices(sys4):
-    _, cs, _ = sys4
-    g, el = cs.targets
-    split = solver.ConstraintSystem(
-        space=cs.space, mode=cs.mode, degenerate=cs.degenerate, psi=cs.psi,
-        targets=[g, solver.LinearTarget(el.name, el.n, el.matrix.copy(), el.rhs)])
-    with pytest.raises(ValueError):
-        solver.solve(split)
+def _basis_product_matrix(rows):
+    """The system matrix from the n^2 basis matrices, the reference for
+    the index-array construction."""
+    n = rows.shape[0]
+    cols = (solver.from_coords(np.eye(n * n), n) @ rows).reshape(n * n, -1)
+    return np.concatenate([cols.real, cols.imag], axis=1).T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_system_matrix_equals_the_basis_product(n):
+    rng = np.random.default_rng(n)
+    for m in (1, 3, 7):
+        rows = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+        assert np.array_equal(solver._system_matrix(rows), _basis_product_matrix(rows))
+
+
+@pytest.mark.parametrize("name", ["spin32", "dim10"])
+def test_assembled_matrix_equals_the_basis_product_on_fixtures(name):
+    fx = fixtures.fixture(name)
+    cs = solver.assemble(slit_projector(fx.space), fx.psi, fx.space)
+    rows = fx.psi.reshape(fx.space.dim_i, fx.space.dim_ii)
+    assert np.array_equal(cs.matrix, _basis_product_matrix(rows))
+
+
+def test_assemble_memory_stays_near_the_matrix_size():
+    sp = ProductSpace(30, (1, 1, 1, 1))
+    tracemalloc.start()
+    try:
+        cs = solver.assemble(slit_projector(sp), np.zeros(sp.dim, dtype=complex), sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the matrix is 1.7 MB; the n^2 basis matrices alone would be 13 MB
+    assert cs.matrix.nbytes == 2 * sp.dim * 30 ** 2 * 8
+    assert peak < 3 * cs.matrix.nbytes
 
 
 def _loop_purify(m, max_iter=200, stop=1e-13):
