@@ -8,11 +8,11 @@ Exit codes: 0 success with all verifications passing, 1 a verification or
 reproduction failed (the report is still emitted), 2 usage or input
 errors.  JSON goes to stdout unless --out is given.  The equality
 tolerance defaults to 1e-12 and may be overridden per call with --tol or
-globally with the TWOSLIT_TOL environment variable.
+globally with the TWOSLIT_TOL environment variable.  solve checks its
+residuals against 1e-10 and simulate checks nothing; neither takes --tol.
 """
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -155,10 +155,13 @@ def build_parser():
         description="Commuting-detector construction, verification and simulation toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_out(p):
+        p.add_argument("--out", help="write output to this file instead of stdout")
+
     def add_common(p):
         p.add_argument("--tol", type=float, default=None,
                        help="equality tolerance (default 1e-12 or TWOSLIT_TOL)")
-        p.add_argument("--out", help="write output to this file instead of stdout")
+        add_out(p)
 
     p = sub.add_parser("generate3", help="build a two-detector solution bundle")
     p.add_argument("--params", help="JSON parameter file (defaults to the spin32 point)")
@@ -190,7 +193,7 @@ def build_parser():
     p.add_argument("--box", type=float, default=2.0, help="half-width of the search box")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-filter", action="store_true", help="skip the projector search")
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="sample joint slit/detector outcomes")
@@ -201,7 +204,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_simulate)
     return parser
 
@@ -214,8 +217,10 @@ def main(argv=None):
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (TwoSlitError, OSError, KeyError, ValueError,
-            json.JSONDecodeError) as exc:
+    except KeyError as exc:
+        print(f"error: missing key {exc}", file=sys.stderr)
+        return 2
+    except (TwoSlitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,13 @@
 """JSON wire formats for matrices, states, spaces, parameters and bundles.
 
-Complex numbers travel as [re, im] pairs; matrices as
-``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with the data flat in
-row-major order; vectors as ``{"dim": n, "data": [...]}``.  Values
-round-trip through these encoders at full double precision.  ``dumps``
-writes objects indented and arrays on one line; input may use any JSON
-whitespace.
+Complex scalars travel as [re, im] pairs.  Matrices travel as
+``{"rows": r, "cols": c, "data": [re0, im0, re1, im1, ...]}``, the real
+and imaginary parts interleaved in row-major order, and vectors as
+``{"dim": n, "data": [re0, im0, ...]}``.  The older array layout, one
+[re, im] pair (or a bare real number) per entry, is still read: the
+declared size tells the two apart.  Values round-trip through these
+encoders at full double precision.  ``dumps`` writes objects indented and
+arrays on one line; input may use any JSON whitespace.
 """
 
 import json
@@ -38,66 +40,72 @@ def complex_to_pair(z):
 
 
 def pair_to_complex(v):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        try:
+    try:
+        if isinstance(v, (int, float)):
+            return complex(v)
+        if isinstance(v, (list, tuple)) and len(v) == 2:
             return complex(float(v[0]), float(v[1]))
-        except (TypeError, ValueError):
-            pass
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer past 1e308
+        pass
     raise DimensionError(f"cannot read {v!r} as a complex number")
 
 
-def _to_pairs(a):
-    """[[re, im], ...] of a complex array in row-major order, as Python floats."""
-    return np.ascontiguousarray(a).reshape(-1, 1).view(float).tolist()
+def _to_wire(a):
+    """[re0, im0, re1, im1, ...] of an array in row-major order, as Python floats."""
+    return np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float).tolist()
 
 
-def _from_pairs(data):
-    """A flat complex array from wire data, read as ``pair_to_complex`` reads it.
+def _from_wire(data, n):
+    """The n complex entries of wire data, flat in row-major order.
 
-    A numeric (N, 2) array is viewed as complex at once; anything else --
-    bare numbers, ragged rows, strings, bools -- goes element by element,
-    so malformed data raises the same error either way.
+    2n numbers are the interleaved layout, read only as a flat numeric
+    array: a string, null, list or integer past 64 bits among them, or
+    bools alone, raise DimensionError; a bool among numbers reads as 0 or
+    1, as numpy casts it.  n entries are the older layout: a numeric (n, 2) array is
+    viewed as complex at once, anything else is read entry by entry as
+    ``pair_to_complex`` reads it.
     """
     try:
         a = np.asarray(data)
     except ValueError:  # numpy refuses an inhomogeneous shape
         a = None
-    if a is not None and a.ndim == 2 and a.shape[1] == 2 and a.dtype.kind in "fiu":
-        return np.ascontiguousarray(a, dtype=float).view(complex).reshape(-1)
-    return np.array([pair_to_complex(v) for v in data], dtype=complex)
+    if a is not None and a.dtype.kind not in "fiu":
+        a = None
+    if len(data) == 2 * n:
+        if a is None or a.ndim != 1:
+            raise DimensionError("interleaved data must be 2n numbers")
+    elif len(data) == n:
+        if a is None or a.shape != (n, 2):
+            return np.array([pair_to_complex(v) for v in data], dtype=complex)
+    else:
+        raise DimensionError(f"data length {len(data)} is neither {n} entries "
+                             f"nor their {2 * n} interleaved parts")
+    return np.ascontiguousarray(a, dtype=float).view(complex).reshape(-1)
 
 
 def matrix_to_json(m):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={m.ndim}")
-    return {"rows": m.shape[0], "cols": m.shape[1], "data": _to_pairs(m)}
+    return {"rows": m.shape[0], "cols": m.shape[1], "data": _to_wire(m)}
 
 
 @_reading
 def matrix_from_json(d):
     rows, cols = int(d["rows"]), int(d["cols"])
-    data = d["data"]
-    if len(data) != rows * cols:
-        raise DimensionError(f"matrix data length {len(data)} != {rows}*{cols}")
-    return _from_pairs(data).reshape(rows, cols)
+    return _from_wire(d["data"], rows * cols).reshape(rows, cols)
 
 
 def vector_to_json(v):
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1:
         raise DimensionError(f"expected a vector, got ndim={v.ndim}")
-    return {"dim": v.shape[0], "data": _to_pairs(v)}
+    return {"dim": v.shape[0], "data": _to_wire(v)}
 
 
 @_reading
 def vector_from_json(d):
-    data = d["data"]
-    if len(data) != int(d["dim"]):
-        raise DimensionError(f"vector data length {len(data)} != dim {d['dim']}")
-    return _from_pairs(data)
+    return _from_wire(d["data"], int(d["dim"]))
 
 
 def space_to_json(sp):
@@ -113,9 +121,16 @@ def space_from_json(d):
     return sp
 
 
+def _integer(x):
+    """A JSON integer, or a float with an integral value; never a bool."""
+    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+        raise FormatError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 # encoders and decoders by the annotated type of a parameter field
 _ENCODE = {float: float, int: int, complex: complex_to_pair, np.ndarray: vector_to_json}
-_DECODE = {float: float, int: int, complex: pair_to_complex, np.ndarray: vector_from_json}
+_DECODE = {float: float, int: _integer, complex: pair_to_complex, np.ndarray: vector_from_json}
 
 
 def params_to_json(p):

@@ -83,11 +83,7 @@ def test_verify_accepts_generated_bundle(capsys, tmp_path):
     assert payload["passed"] is True and payload["failing"] == []
 
 
-def test_verify_flags_tampered_operator(capsys, tmp_path):
-    path = tmp_path / "b3.json"
-    run_cli(capsys, "generate3", "--out", str(path))
-    blob = json.loads(path.read_text())
-    blob["bundle"]["operators"]["G"]["data"][2][0] += 1e-3
+def _assert_tampered_g_fails_at_default_tol(capsys, tmp_path, blob):
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(blob))
 
@@ -98,6 +94,22 @@ def test_verify_flags_tampered_operator(capsys, tmp_path):
     # a loose explicit tolerance accepts the same file
     rc, _, _ = run_cli(capsys, "verify", "--bundle", str(tampered), "--tol", "0.01")
     assert rc == 0
+
+
+def test_verify_flags_tampered_operator(capsys, tmp_path):
+    path = tmp_path / "b3.json"
+    run_cli(capsys, "generate3", "--out", str(path))
+    blob = json.loads(path.read_text())
+    blob["bundle"]["operators"]["G"]["data"][2 * 2] += 1e-3  # the real part of entry 2
+    _assert_tampered_g_fails_at_default_tol(capsys, tmp_path, blob)
+
+
+def test_verify_flags_tampered_operator_in_the_pair_layout(capsys, tmp_path, pair_layout):
+    path = tmp_path / "b3.json"
+    run_cli(capsys, "generate3", "--out", str(path))
+    blob = pair_layout(json.loads(path.read_text()))
+    blob["bundle"]["operators"]["G"]["data"][2][0] += 1e-3
+    _assert_tampered_g_fails_at_default_tol(capsys, tmp_path, blob)
 
 
 def test_verify_csv_format(capsys, tmp_path):
@@ -287,13 +299,13 @@ def test_verify_malformed_bundle_value_exits_2(capsys, tmp_path, path, value):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def _nan_state_bundle(tmp_path, capsys):
+def _nan_state_bundle(tmp_path, capsys, layout):
     path = tmp_path / "b3.json"
     run_cli(capsys, "generate3", "--out", str(path))
     blob = json.loads(path.read_text())
-    blob["bundle"]["psi"]["data"][0] = [float("nan"), 0.0]
+    blob["bundle"]["psi"]["data"][0:2] = [float("nan"), 0.0]
     nan = tmp_path / "nan.json"
-    nan.write_text(json.dumps(blob))
+    nan.write_text(json.dumps(layout(blob)))
     return str(nan)
 
 
@@ -301,11 +313,13 @@ def _nan_state_bundle(tmp_path, capsys):
     ("generate3",), ("generate4",), ("verify", "--bundle", "NAN"),
     ("reproduce", "--fixture", "spin32"), ("reproduce", "--fixture", "dim10"),
     ("solve", "--fixture", "dim10", "--draws", "20"), ("simulate", "--samples", "1000"),
+    ("verify", "--bundle", "NAN-PAIRS"),
 ], ids=["generate3", "generate4", "verify-nan", "reproduce-spin32", "reproduce-dim10",
-        "solve", "simulate"])
+        "solve", "simulate", "verify-nan-pair-layout"])
 def test_output_differs_from_indented_json_only_in_whitespace(capsys, tmp_path, monkeypatch,
-                                                              argv):
-    argv = [_nan_state_bundle(tmp_path, capsys) if a == "NAN" else a for a in argv]
+                                                              pair_layout, argv):
+    layouts = {"NAN": lambda blob: blob, "NAN-PAIRS": pair_layout}
+    argv = [_nan_state_bundle(tmp_path, capsys, layouts[a]) if a in layouts else a for a in argv]
     emitted, dumps = [], jsonio.dumps
 
     def recording_dumps(obj):
@@ -319,3 +333,71 @@ def test_output_differs_from_indented_json_only_in_whitespace(capsys, tmp_path, 
         assert rc == 1 and any(c["residual"] != c["residual"] for c in obj["conditions"])
     assert out == dumps(obj) + "\n"
     assert json.dumps(json.loads(out)) == json.dumps(json.loads(json.dumps(obj, indent=2)))
+
+
+@pytest.mark.parametrize("data", [
+    lambda d: d[:-1],                             # odd length
+    lambda d: d + [0.0, 0.0],                     # neither n nor 2n
+    lambda d: ["0.5"] + d[1:],                    # a string
+    lambda d: [None] + d[1:],                     # a null
+    lambda d: [[0.5]] + d[1:],                    # a nested list
+    lambda d: [[0.5, 0.0]] + d[1:],               # a pair inside flat data
+    lambda d: [10 ** 400] + d[1:],                # an integer past the float range
+], ids=["odd", "neither", "string", "null", "nested", "pair", "huge-integer"])
+def test_verify_malformed_flat_data_exits_2(capsys, tmp_path, data):
+    good = tmp_path / "b3.json"
+    assert run_cli(capsys, "generate3", "--out", str(good))[0] == 0
+    blob = json.loads(good.read_text())["bundle"]
+    blob["operators"]["G"]["data"] = data(blob["operators"]["G"]["data"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    rc, out, err = run_cli(capsys, "verify", "--bundle", str(bad))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["generate3", "generate4"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_reports_the_same_for_the_pair_layout(capsys, tmp_path, pair_layout,
+                                                     command, fmt):
+    new = tmp_path / "new.json"
+    assert run_cli(capsys, command, "--out", str(new))[0] == 0
+    old = tmp_path / "pairs.json"
+    old.write_text(json.dumps(pair_layout(json.loads(new.read_text()))))
+    rc, out, _ = run_cli(capsys, "verify", "--bundle", str(new), "--format", fmt)
+    rc_old, out_old, _ = run_cli(capsys, "verify", "--bundle", str(old), "--format", fmt)
+    assert rc == rc_old == 0
+    assert out_old == out
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+def test_generate4_rejects_a_non_integer_block_size(capsys, tmp_path, value):
+    params = jsonio.params_to_json(fixtures.fixture("dim10").params)
+    params["dim_block2"] = value
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    rc, out, err = run_cli(capsys, "generate4", "--params", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "integer" in err
+
+
+def test_missing_parameter_key_is_named(capsys, tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"theta": 0}))
+    rc, out, err = run_cli(capsys, "generate3", "--params", str(path))
+    assert rc == 2 and out == ""
+    assert err == "error: missing key 'p'\n"
+
+
+def test_solve_takes_no_tol(capsys):
+    rc, out, err = run_cli(capsys, "solve", "--fixture", "spin32", "--no-filter",
+                           "--tol", "1e-3")
+    assert rc == 2 and out == ""
+    assert "--tol" in err
+
+
+def test_simulate_takes_no_tol(capsys):
+    rc, out, err = run_cli(capsys, "simulate", "--samples", "1000", "--tol", "1e-3")
+    assert rc == 2 and out == ""
+    assert "--tol" in err

@@ -214,8 +214,13 @@ def test_write_and_read_json(tmp_path):
     assert jsonio.read_json(path) == {"x": [1, 2.5]}
 
 
+def _reference_wire(a):
+    """The per-element interleaved encoding the vectorised codec must equal."""
+    return [float(x) for z in np.asarray(a, dtype=complex).reshape(-1) for x in (z.real, z.imag)]
+
+
 def _reference_pairs(a):
-    """The per-element encoding the vectorised codec must equal."""
+    """The per-element encoding of the older pair layout."""
     return [[z.real, z.imag] for z in np.asarray(a, dtype=complex).reshape(-1)]
 
 
@@ -229,31 +234,63 @@ _M[0, 0] = complex(-0.0, -0.0)
 _PSI = _RNG.standard_normal(9) + 1j * _RNG.standard_normal(9)
 
 
-@pytest.mark.parametrize("m", [
+_MATRICES = pytest.mark.parametrize("m", [
     _M, np.asfortranarray(_M), _M.T, _M[::2, 1::3], _M.real, np.arange(12).reshape(3, 4),
     np.zeros((0, 5)), np.zeros((5, 0), dtype=complex),
 ], ids=["C", "F-ordered", "transposed", "strided", "real", "integer", "0xn", "nx0"])
+_VECTORS = pytest.mark.parametrize("v", [
+    _PSI, _PSI[::2], _PSI[::-1], _PSI.real, np.arange(5), np.zeros(0),
+], ids=["contiguous", "strided", "reversed", "real", "integer", "empty"])
+
+
+@_MATRICES
 def test_matrix_codec_equals_the_per_element_reference(m):
     d = jsonio.matrix_to_json(m)
     assert (d["rows"], d["cols"]) == m.shape
-    assert d["data"] == _reference_pairs(m)
-    assert json.dumps(d["data"]) == json.dumps(_reference_pairs(m))  # -0.0 and repr kept
-    assert all(type(x) is float for pair in d["data"] for x in pair)
+    assert d["data"] == _reference_wire(m)
+    assert json.dumps(d["data"]) == json.dumps(_reference_wire(m))  # -0.0 and repr kept
+    assert all(type(x) is float for x in d["data"])
     again = jsonio.matrix_from_json(json.loads(json.dumps(d)))
     assert again.shape == m.shape
     assert again.tobytes() == np.asarray(m, dtype=complex).tobytes()
 
 
-@pytest.mark.parametrize("v", [
-    _PSI, _PSI[::2], _PSI[::-1], _PSI.real, np.arange(5), np.zeros(0),
-], ids=["contiguous", "strided", "reversed", "real", "integer", "empty"])
+@_MATRICES
+def test_matrix_in_the_pair_layout_decodes_to_the_same_bytes(m):
+    d = {"rows": m.shape[0], "cols": m.shape[1], "data": _reference_pairs(m)}
+    again = jsonio.matrix_from_json(json.loads(json.dumps(d)))
+    assert again.shape == m.shape
+    assert again.tobytes() == np.asarray(m, dtype=complex).tobytes()
+
+
+@_VECTORS
 def test_vector_codec_equals_the_per_element_reference(v):
     d = jsonio.vector_to_json(v)
     assert d["dim"] == v.shape[0]
-    assert d["data"] == _reference_pairs(v)
-    assert json.dumps(d["data"]) == json.dumps(_reference_pairs(v))
+    assert d["data"] == _reference_wire(v)
+    assert json.dumps(d["data"]) == json.dumps(_reference_wire(v))
     again = jsonio.vector_from_json(json.loads(json.dumps(d)))
     assert again.tobytes() == np.asarray(v, dtype=complex).tobytes()
+
+
+@_VECTORS
+def test_vector_in_the_pair_layout_decodes_to_the_same_bytes(v):
+    d = {"dim": v.shape[0], "data": _reference_pairs(v)}
+    again = jsonio.vector_from_json(json.loads(json.dumps(d)))
+    assert again.tobytes() == np.asarray(v, dtype=complex).tobytes()
+
+
+def test_codec_keeps_signed_zeros_and_non_finite_values():
+    inf, nan = float("inf"), float("nan")
+    v = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(nan, -inf),
+                  complex(inf, nan), complex(-inf, 1.0)])
+    d = jsonio.vector_to_json(v)
+    assert all(type(x) is float for x in d["data"])
+    assert json.dumps(d["data"]) == json.dumps(_reference_wire(v))
+    assert json.dumps(d["data"]) == "[-0.0, 0.0, 0.0, -0.0, NaN, -Infinity, Infinity, NaN, " \
+                                    "-Infinity, 1.0]"
+    for text in (json.dumps(d), json.dumps({"dim": 5, "data": _reference_pairs(v)})):
+        assert jsonio.vector_from_json(json.loads(text)).tobytes() == v.tobytes()
 
 
 @pytest.mark.parametrize("data", [
@@ -320,6 +357,106 @@ def test_bundle_files_in_the_indented_layout_still_read(build, tmp_path):
             continue
         assert getattr(a, name).tobytes() == want.tobytes()
         assert getattr(b, name).tobytes() == want.tobytes()
+
+
+_ARRAYS = ("psi", "E", "G", "T", "Y", "L", "W", "G_I", "L_I")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: family3.build(fixtures.fixture("spin32").params),
+    lambda: family4.build(fixtures.fixture("dim10").params),
+], ids=["family3", "family4"])
+def test_bundle_files_in_the_pair_layout_still_read(build, tmp_path, pair_layout):
+    bundle = build()
+    obj = {"bundle": jsonio.bundle_to_json(bundle)}
+    new = tmp_path / "new.json"
+    jsonio.write_json(new, obj)
+    old = tmp_path / "pairs.json"
+    jsonio.write_json(old, pair_layout(obj))
+    assert all(len(p) == 2 for p in jsonio.read_json(old)["bundle"]["psi"]["data"])
+    a = jsonio.bundle_from_json(jsonio.read_json(old)["bundle"])
+    b = jsonio.bundle_from_json(jsonio.read_json(new)["bundle"])
+    for name in _ARRAYS:
+        want = getattr(bundle, name)
+        if want is None:
+            assert getattr(a, name) is None and getattr(b, name) is None
+            continue
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes() == want.tobytes()
+    assert jsonio.bundle_to_json(a) == jsonio.bundle_to_json(b) == obj["bundle"]
+
+
+def test_bundle_mixing_layouts_across_arrays_reads(pair_layout):
+    bundle = family4.build(fixtures.fixture("dim10").params)
+    blob = jsonio.bundle_to_json(bundle)
+    mixed = pair_layout(blob)  # psi, E, T, L and G_I stay in the pair layout
+    mixed["operators"].update({k: blob["operators"][k] for k in ("G", "Y", "W")})
+    mixed["core"]["L_I"] = blob["core"]["L_I"]
+    again = jsonio.bundle_from_json(json.loads(json.dumps(mixed)))
+    for name in _ARRAYS:
+        assert getattr(again, name).tobytes() == getattr(bundle, name).tobytes()
+    assert jsonio.bundle_to_json(again) == blob
+
+
+@pytest.mark.parametrize("n, data, want", [
+    (0, [], []),
+    (1, [1.5, -2.0], [1.5 - 2j]),                 # 2n numbers: interleaved
+    (1, [[1.5, -2.0]], [1.5 - 2j]),               # n entries: a pair
+    (1, [1.5], [1.5]),                            # n entries: a bare number
+    (2, [1.5, -2.0, 0.0, 4.0], [1.5 - 2j, 4j]),   # 2n numbers: interleaved
+    (2, [1.5, -2.0], [1.5, -2.0]),                # n entries: bare numbers
+    (2, [[1.5, -2.0], [0.0, 4.0]], [1.5 - 2j, 4j]),
+    (2, [[1.5, -2.0], 3], [1.5 - 2j, 3]),
+    (2, [1, 2, 3, 4], [1 + 2j, 3 + 4j]),          # JSON integers
+], ids=["0", "1-flat", "1-pair", "1-bare", "2-flat", "2-bare", "2-pairs", "2-mixed", "2-ints"])
+def test_declared_size_picks_the_layout(n, data, want):
+    want = np.array(want, dtype=complex)
+    got = jsonio.vector_from_json({"dim": n, "data": data})
+    assert got.dtype == complex and got.tobytes() == want.tobytes()
+    got = jsonio.matrix_from_json({"rows": 1, "cols": n, "data": data})
+    assert got.shape == (1, n) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, data", [
+    (2, [1.0, 2.0, 3.0]),                         # odd length
+    (2, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),          # neither n nor 2n
+    (2, [1.0, 2.0, "3", 4.0]),                    # a string
+    (2, [1.0, None, 3.0, 4.0]),                   # a null
+    (2, [1.0, 2.0, [3.0], 4.0]),                  # a nested list
+    (2, [1.0, 2.0, [3.0, 4.0], 5.0]),             # a pair inside flat data
+    (1, [[1.0, 2.0], [3.0, 4.0]]),                # 2n pairs
+    (1, [10 ** 400, 0.0]),                        # an integer past the float range
+    (1, [True, False]),                           # bools alone
+], ids=["odd", "neither", "string", "null", "nested", "pair", "pairs", "huge-integer",
+        "only-bools"])
+def test_malformed_flat_data_raises_dimension_error(n, data):
+    with pytest.raises(DimensionError):
+        jsonio.vector_from_json({"dim": n, "data": data})
+    with pytest.raises(DimensionError):
+        jsonio.matrix_from_json({"rows": n, "cols": 1, "data": data})
+
+
+@pytest.mark.parametrize("data", [[[1.0, 2.0], [10 ** 400, 0.0]], [[1.0, 2.0], 10 ** 400]],
+                         ids=["in-a-pair", "bare"])
+def test_integer_past_the_float_range_in_the_pair_layout_raises_dimension_error(data):
+    with pytest.raises(DimensionError):
+        jsonio.vector_from_json({"dim": len(data), "data": data})
+
+
+@pytest.mark.parametrize("value", [2.5, True, False, "2", None, [2], float("inf")],
+                         ids=["fraction", "true", "false", "string", "null", "list", "inf"])
+def test_params_from_json_rejects_a_non_integer_int_field(value):
+    d = jsonio.params_to_json(fixtures.fixture("dim10").params)
+    d["dim_block2"] = value
+    with pytest.raises(FormatError):
+        jsonio.params_from_json(family4.Family4Params, d)
+
+
+@pytest.mark.parametrize("value", [2, 2.0], ids=["integer", "integral-float"])
+def test_params_from_json_reads_an_integral_int_field(value):
+    d = jsonio.params_to_json(fixtures.fixture("dim10").params)
+    d["dim_block2"] = value
+    p = jsonio.params_from_json(family4.Family4Params, d)
+    assert type(p.dim_block2) is int and p.dim_block2 == 2
 
 
 def test_dumps_layout():
