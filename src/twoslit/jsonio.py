@@ -92,7 +92,7 @@ def matrix_to_json(m):
 
 @_reading
 def matrix_from_json(d):
-    rows, cols = int(d["rows"]), int(d["cols"])
+    rows, cols = _integer(d["rows"]), _integer(d["cols"])
     return _from_wire(d["data"], rows * cols).reshape(rows, cols)
 
 
@@ -105,7 +105,7 @@ def vector_to_json(v):
 
 @_reading
 def vector_from_json(d):
-    return _from_wire(d["data"], int(d["dim"]))
+    return _from_wire(d["data"], _integer(d["dim"]))
 
 
 def space_to_json(sp):
@@ -114,9 +114,9 @@ def space_to_json(sp):
 
 @_reading
 def space_from_json(d):
-    sp = ProductSpace(int(d["dim_i"]), tuple(d["partition"]))
+    sp = ProductSpace(_integer(d["dim_i"]), tuple(_integer(b) for b in d["partition"]))
     rank = d.get("rank_e")
-    if rank is not None and int(rank) != sp.rank_e:
+    if rank is not None and _integer(rank) != sp.rank_e:
         raise DimensionError(f"rank_e {rank} inconsistent with dim_i {sp.dim_i}")
     return sp
 
@@ -210,9 +210,12 @@ def dumps(obj):
     """JSON text with the values of ``json.dumps(obj, indent=2)``, laid out for speed.
 
     Each object, and each array that holds an object, is indented by two
-    spaces; every other array goes on one line through ``json.dumps``
-    without ``indent``, which keeps CPython's C encoder.  Keys are written
-    as ``str(key)``: the outputs here have string keys only.
+    spaces; every other array goes on one line, written as ``json.dumps``
+    without ``indent`` writes it.  That is CPython's C encoder, except for
+    an array of floats that are mostly zero, such as the data of a lifted
+    operator: there only the entries whose bits are nonzero go through
+    ``float.__repr__`` and the others are written ``0.0``.  Keys are
+    written as ``str(key)``: the outputs here have string keys only.
     """
     return _dumps(obj, "")
 
@@ -222,13 +225,46 @@ def _dumps(obj, indent):
     if isinstance(obj, dict) and obj:
         items = [json.dumps(str(k)) + ": " + _dumps(v, inner) for k, v in obj.items()]
         brackets = "{}"
-    elif isinstance(obj, (list, tuple)) and any(isinstance(v, dict) for v in obj):
+    elif isinstance(obj, (list, tuple)):
+        types = set(map(type, obj))
+        if types == {float}:
+            return _float_array(obj)
+        if not any(issubclass(t, dict) for t in types):
+            return json.dumps(obj)
         items = [_dumps(v, inner) for v in obj]
         brackets = "[]"
     else:
         return json.dumps(obj)
     body = ",\n".join(inner + item for item in items)
     return f"{brackets[0]}\n{body}\n{indent}{brackets[1]}"
+
+
+_CHUNK = 1 << 15  # floats per temporary array of _float_array: 256 KB
+
+
+def _float_array(values):
+    """``json.dumps(values)`` for a list of Python floats, faster when most are 0.0.
+
+    The list is written in chunks of ``_CHUNK`` entries, so that no
+    temporary grows with it.  In a chunk, only the entries whose bits are
+    nonzero (-0.0 among them) go through ``float.__repr__``; the rest are
+    written ``0.0``.  A chunk with more than one nonzero entry in five,
+    where the C encoder is faster, or with a NaN or an infinity goes to
+    ``json.dumps``.
+    """
+    parts = []
+    for start in range(0, len(values), _CHUNK):
+        chunk = values[start:start + _CHUNK]
+        a = np.array(chunk, dtype=float)
+        nonzero = np.flatnonzero(a.view(np.int64))
+        if 5 * len(nonzero) > len(a) or not np.isfinite(a[nonzero]).all():
+            parts.append(json.dumps(chunk)[1:-1])
+            continue
+        tokens = ["0.0"] * len(a)
+        for i in nonzero.tolist():
+            tokens[i] = repr(chunk[i])
+        parts.append(", ".join(tokens))
+    return "[" + ", ".join(parts) + "]"
 
 
 def write_json(path, obj):

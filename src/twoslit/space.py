@@ -105,19 +105,38 @@ def detector_projectors(sp: ProductSpace):
 
 
 def lift_left(a, sp: ProductSpace):
-    """a (x) identity, for a square matrix a on H_I."""
+    """a (x) identity, for a square matrix a on H_I.
+
+    Built by placement, not by ``np.kron``: a copied bit for bit onto each
+    stripe (:, k, :, k) of a zero (dim_i, dim_ii, dim_i, dim_ii) array.
+    The result equals ``np.kron(a, eye)`` for finite a, and every entry
+    off the stripes is +0.0, where the product x * 0.0 of kron gives -0.0
+    for a negative x.
+    """
     a = as_cmatrix(a)
     if a.shape != (sp.dim_i, sp.dim_i):
         raise DimensionError(f"expected {sp.dim_i}x{sp.dim_i}, got {a.shape}")
-    return np.kron(a, np.eye(sp.dim_ii, dtype=complex))
+    n, m = sp.dim_i, sp.dim_ii
+    out = np.zeros((n, m, n, m), dtype=complex)
+    k = np.arange(m)
+    out[:, k, :, k] = a
+    return out.reshape(n * m, n * m)
 
 
 def lift_right(b, sp: ProductSpace):
-    """identity (x) b, for a square matrix b on H_II."""
+    """identity (x) b, for a square matrix b on H_II.
+
+    Built by placement like ``lift_left``: b on each diagonal block
+    (i, :, i, :), +0.0 everywhere else.
+    """
     b = as_cmatrix(b)
     if b.shape != (sp.dim_ii, sp.dim_ii):
         raise DimensionError(f"expected {sp.dim_ii}x{sp.dim_ii}, got {b.shape}")
-    return np.kron(np.eye(sp.dim_i, dtype=complex), b)
+    n, m = sp.dim_i, sp.dim_ii
+    out = np.zeros((n, m, n, m), dtype=complex)
+    i = np.arange(n)
+    out[i, :, i, :] = b
+    return out.reshape(n * m, n * m)
 
 
 @dataclass

@@ -84,7 +84,8 @@ def _normalized(psi):
     nrm = np.linalg.norm(psi)
     if nrm == 0:
         raise DimensionError("state vector must be nonzero")
-    return psi / nrm
+    with np.errstate(invalid="ignore"):  # a NaN or infinite norm: the checks fail on the NaNs
+        return psi / nrm
 
 
 def _conformable(psi, *mats):

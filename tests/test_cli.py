@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -297,6 +298,45 @@ def test_verify_malformed_bundle_value_exits_2(capsys, tmp_path, path, value):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, value", [
+    (("space", "dim_i"), 6.9), (("space", "rank_e"), 3.5), (("space", "partition", 0), 1.5),
+    (("space", "partition", 0), True), (("operators", "G", "rows"), 24.9),
+    (("operators", "G", "cols"), 24.9), (("psi", "dim"), 24.9),
+], ids=["dim_i", "rank_e", "partition", "partition-true", "rows", "cols", "dim"])
+def test_verify_non_integer_size_exits_2(capsys, tmp_path, path, value):
+    good = tmp_path / "b3.json"
+    assert run_cli(capsys, "generate3", "--out", str(good))[0] == 0
+    blob = json.loads(good.read_text())["bundle"]
+    _set(blob, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    rc, out, err = run_cli(capsys, "verify", "--bundle", str(bad))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "integer" in err
+
+
+def test_verify_reads_integral_float_sizes(capsys, tmp_path):
+    good = tmp_path / "b3.json"
+    assert run_cli(capsys, "generate3", "--out", str(good))[0] == 0
+    blob = json.loads(good.read_text())["bundle"]
+    assert blob["space"] == {"dim_i": 6, "rank_e": 3, "partition": [1, 1, 1, 1]}
+    blob["space"] = {"dim_i": 6.0, "rank_e": 3.0, "partition": [1.0, 1.0, 1.0, 1.0]}
+    blob["operators"]["G"].update(rows=24.0, cols=24.0)
+    blob["psi"]["dim"] = 24.0
+    floats = tmp_path / "floats.json"
+    floats.write_text(json.dumps(blob))
+    assert run_cli(capsys, "verify", "--bundle", str(floats))[0] == 0
+
+
+def test_verify_on_a_nan_state_warns_nothing(capsys, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, "verify", "--bundle",
+                               _nan_state_bundle(tmp_path, capsys, lambda blob: blob))
+    assert rc == 1 and err == ""
+    assert json.loads(out)["passed"] is False
 
 
 def _nan_state_bundle(tmp_path, capsys, layout):

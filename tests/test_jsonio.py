@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twoslit import family3, family4, fixtures, jsonio
 from twoslit.errors import DimensionError, FormatError, ModeError
@@ -483,3 +484,56 @@ def test_dumps_layout():
     assert json.loads(text) == json.loads(json.dumps(obj, indent=2))
     assert jsonio.dumps([]) == "[]" and jsonio.dumps({}) == "{}"
     assert jsonio.dumps(float("nan")) == "NaN"
+
+
+_EDGE_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
+                2.225073858507201e-308, 1e308, -1e308, 1.0, -2.5]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+
+
+def _mostly_zero(entries):
+    """Each (k, x) gives x when k == 0, else 0.0: about one entry in eight nonzero."""
+    return [x if k == 0 else 0.0 for k, x in entries]
+
+
+_FLAT_LISTS = st.one_of(
+    st.lists(_FLOATS),
+    st.lists(st.tuples(st.integers(0, 7), _FLOATS)).map(_mostly_zero),
+    st.lists(st.tuples(st.integers(0, 7), st.one_of(
+        _FLOATS, st.integers(-3, 3), st.booleans(), _FLOATS.map(np.float64)))).map(_mostly_zero),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FLAT_LISTS, st.booleans())
+def test_dumps_writes_a_flat_list_as_json_dumps_does(values, as_tuple):
+    values = tuple(values) if as_tuple else values
+    assert jsonio.dumps(values) == json.dumps(values)
+    assert jsonio.dumps({"data": values}) == '{\n  "data": ' + json.dumps(values) + "\n}"
+
+
+@pytest.mark.parametrize("values", [
+    [0.0] * 9 + [-0.0],
+    [0.0] * 9 + [5e-324],
+    [-1e308] + [0.0] * 9,
+    [0.0] * 5 + [float("nan")] + [0.0] * 4,
+    [0.0] * 5 + [float("-inf")] + [0.0] * 4,
+    [1.5, -0.0] * 5,
+    [0.0] * 10,
+    [0.0],
+    [1.0 / 3] * jsonio._CHUNK                                     # a dense chunk,
+    + ([0.0] * 18 + [-0.0, 2.5]) * (jsonio._CHUNK // 20 + 1)      # a sparse one
+    + [0.0] * 5 + [float("nan")],                                 # and a NaN in the last
+], ids=["negative-zero", "subnormal", "huge", "nan", "infinity", "half-nonzero",
+        "zeros", "one-zero", "chunks"])
+def test_float_array_equals_json_dumps(values):
+    assert jsonio._float_array(values) == json.dumps(values)
+    assert jsonio._float_array(tuple(values)) == json.dumps(values)
+
+
+def test_lifted_operator_data_written_as_json_dumps_does():
+    bundle = fixtures.fixture_bundle("dim10")
+    for name in ("E", "G", "L", "T", "Y", "W"):
+        data = jsonio.matrix_to_json(getattr(bundle, name))["data"]
+        assert 5 * np.count_nonzero(np.array(data).view(np.int64)) < len(data)  # the sparse path
+        assert jsonio.dumps(data) == json.dumps(data)

@@ -105,3 +105,31 @@ def test_assemble_requires_l_core_exactly_in_three_detector_mode():
         assemble(fx3.space, fx3.psi, fx3.cores["G_I"], fx3.cores["G_I"])
     with pytest.raises(ModeError):
         assemble(fx4.space, fx4.psi, fx4.cores["G_I"])
+
+
+@pytest.mark.parametrize("dim_i", [2, 6, 10])
+@pytest.mark.parametrize("partition", [(2, 1, 3, 1), (1, 2, 1, 3, 1, 1, 2, 1)],
+                         ids=["4-blocks", "8-blocks"])
+def test_lifts_copy_the_core_bit_for_bit_and_equal_kron(dim_i, partition):
+    sp = ProductSpace(dim_i, partition)
+    n, m = sp.dim_i, sp.dim_ii
+    rng = np.random.default_rng(dim_i + len(partition))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    a[0, 0], b[0, 0] = complex(-0.0, -1.0), complex(2.0, -0.0)  # signed zeros on the stripes
+    cases = [(lift_left(a, sp), np.kron(a, np.eye(m)), np.kron(np.ones((n, n)), np.eye(m))),
+             (lift_right(b, sp), np.kron(np.eye(n), b), np.kron(np.eye(n), np.ones((m, m))))]
+    for lifted, kron, stripes in cases:
+        assert lifted.shape == (sp.dim, sp.dim) and lifted.dtype == complex
+        assert np.array_equal(lifted, kron)
+        off = lifted[stripes == 0]
+        assert not np.signbit(off.real).any() and not np.signbit(off.imag).any()
+    blocks = cases[0][0].reshape(n, m, n, m), cases[1][0].reshape(n, m, n, m)
+    assert all(blocks[0][:, k, :, k].tobytes() == a.tobytes() for k in range(m))
+    assert all(blocks[1][i, :, i, :].tobytes() == b.tobytes() for i in range(n))
+    with pytest.raises(DimensionError):
+        lift_left(np.eye(n + 1), sp)
+    with pytest.raises(DimensionError):
+        lift_right(np.eye(m + 1), sp)
+    with pytest.raises(DimensionError):
+        lift_left(np.ones((n, n + 1)), sp)

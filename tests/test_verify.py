@@ -1,5 +1,6 @@
 import dataclasses
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -167,7 +168,8 @@ def test_non_finite_state_fails_every_condition_on_psi(name, failing):
     bundle = fixtures.fixture_bundle(name)
     psi = bundle.psi.copy()
     psi[0] = np.nan
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NaN state fails its checks without a numpy warning
         report = verify_bundle(dataclasses.replace(bundle, psi=psi))
     assert report.method == "dense"
     assert report.failing() == failing

@@ -9,6 +9,7 @@ catalog on the lifted operators, is the oracle here.
 import dataclasses
 import json
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -169,7 +170,8 @@ def test_non_finite_state_falls_back_to_dense():
     bundle = fixtures.fixture_bundle("spin32")
     psi = bundle.psi.copy()
     psi[0] = np.nan
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NaN state fails its checks without a numpy warning
         assert verify_bundle(dataclasses.replace(bundle, psi=psi)).method == "dense"
 
 
