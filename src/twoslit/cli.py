@@ -26,12 +26,12 @@ from .verify import verify_bundle
 
 
 def _emit(args, obj, as_text=None):
-    text = as_text if as_text is not None else jsonio.dumps(obj) + "\n"
+    texts = (as_text,) if as_text is not None else (jsonio.dumps(obj), "\n")
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def _report_payload(report):
@@ -47,7 +47,7 @@ def _generate(args, family, params_class, default_fixture):
         params = fixture(default_fixture).params
     bundle = family.build(params)
     report = verify_bundle(bundle, tol=args.tol)
-    _emit(args, {"bundle": jsonio.bundle_to_json(bundle), "report": _report_payload(report)})
+    _emit(args, {"bundle": jsonio.bundle_to_wire(bundle), "report": _report_payload(report)})
     return 0 if report.passed else 1
 
 

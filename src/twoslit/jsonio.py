@@ -6,8 +6,14 @@ and imaginary parts interleaved in row-major order, and vectors as
 ``{"dim": n, "data": [re0, im0, ...]}``.  The older array layout, one
 [re, im] pair (or a bare real number) per entry, is still read: the
 declared size tells the two apart.  Values round-trip through these
-encoders at full double precision.  ``dumps`` writes objects indented and
-arrays on one line; input may use any JSON whitespace.
+encoders at full double precision.
+
+The public ``*_to_json`` encoders return plain JSON types: dicts, lists,
+Python floats and ints.  ``bundle_to_wire`` returns the same layout with
+each ``data`` left as a read-only float64 array, which ``dumps`` writes
+byte for byte as ``json.dumps`` writes its list; the CLI writes bundles
+that way, without a Python float per entry.  ``dumps`` writes objects
+indented and arrays on one line; input may use any JSON whitespace.
 """
 
 import json
@@ -51,8 +57,20 @@ def pair_to_complex(v):
 
 
 def _to_wire(a):
-    """[re0, im0, re1, im1, ...] of an array in row-major order, as Python floats."""
-    return np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float).tolist()
+    """[re0, im0, re1, im1, ...] of an array in row-major order, as a read-only
+    float64 view: of ``a`` itself when it is a C-contiguous complex array."""
+    data = np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float)
+    data.flags.writeable = False
+    return data
+
+
+def _plain(wire):
+    """A wire form in plain JSON types: each array as a list of Python floats."""
+    if isinstance(wire, np.ndarray):
+        return wire.tolist()
+    if isinstance(wire, dict):
+        return {k: _plain(v) for k, v in wire.items()}
+    return wire
 
 
 def _from_wire(data, n):
@@ -83,11 +101,15 @@ def _from_wire(data, n):
     return np.ascontiguousarray(a, dtype=float).view(complex).reshape(-1)
 
 
-def matrix_to_json(m):
+def _matrix_to_wire(m):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={m.ndim}")
     return {"rows": m.shape[0], "cols": m.shape[1], "data": _to_wire(m)}
+
+
+def matrix_to_json(m):
+    return _plain(_matrix_to_wire(m))
 
 
 @_reading
@@ -96,11 +118,15 @@ def matrix_from_json(d):
     return _from_wire(d["data"], rows * cols).reshape(rows, cols)
 
 
-def vector_to_json(v):
+def _vector_to_wire(v):
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1:
         raise DimensionError(f"expected a vector, got ndim={v.ndim}")
     return {"dim": v.shape[0], "data": _to_wire(v)}
+
+
+def vector_to_json(v):
+    return _plain(_vector_to_wire(v))
 
 
 @_reading
@@ -129,13 +155,17 @@ def _integer(x):
 
 
 # encoders and decoders by the annotated type of a parameter field
-_ENCODE = {float: float, int: int, complex: complex_to_pair, np.ndarray: vector_to_json}
+_ENCODE = {float: float, int: int, complex: complex_to_pair, np.ndarray: _vector_to_wire}
 _DECODE = {float: float, int: _integer, complex: pair_to_complex, np.ndarray: vector_from_json}
+
+
+def _params_to_wire(p):
+    return {f.name: _ENCODE[f.type](getattr(p, f.name)) for f in fields(p)}
 
 
 def params_to_json(p):
     """A family's parameters: one key per dataclass field, in field order."""
-    return {f.name: _ENCODE[f.type](getattr(p, f.name)) for f in fields(p)}
+    return _plain(_params_to_wire(p))
 
 
 @_reading
@@ -152,22 +182,29 @@ _OPERATORS = {3: ("E", "G", "T", "Y"), 4: ("E", "G", "T", "Y", "L", "W")}
 _CORES = {3: ("G_I",), 4: ("G_I", "L_I")}
 
 
-def bundle_to_json(bundle):
-    """Encode a bundle; ``derived`` complex values travel as [re, im] pairs."""
+def bundle_to_wire(bundle):
+    """The layout of ``bundle_to_json``, with each ``data`` a read-only float64
+    view for ``dumps`` to write; ``derived`` complex values travel as [re, im]
+    pairs."""
     mode = bundle.space.mode
     derived = bundle.derived
     return {
         "kind": _KINDS[mode],
         "space": space_to_json(bundle.space),
-        "psi": vector_to_json(bundle.psi),
-        "operators": {k: matrix_to_json(getattr(bundle, k)) for k in _OPERATORS[mode]},
-        "core": {k: matrix_to_json(getattr(bundle, k)) for k in _CORES[mode]
+        "psi": _vector_to_wire(bundle.psi),
+        "operators": {k: _matrix_to_wire(getattr(bundle, k)) for k in _OPERATORS[mode]},
+        "core": {k: _matrix_to_wire(getattr(bundle, k)) for k in _CORES[mode]
                  if getattr(bundle, k) is not None},
-        "params": params_to_json(bundle.params) if bundle.params is not None else None,
+        "params": _params_to_wire(bundle.params) if bundle.params is not None else None,
         "derived": None if derived is None else {
             k: complex_to_pair(v) if isinstance(v, complex) else float(v)
             for k, v in derived.items()},
     }
+
+
+def bundle_to_json(bundle):
+    """Encode a bundle in plain JSON types."""
+    return _plain(bundle_to_wire(bundle))
 
 
 @_reading
@@ -212,64 +249,74 @@ def dumps(obj):
     Each object, and each array that holds an object, is indented by two
     spaces; every other array goes on one line, written as ``json.dumps``
     without ``indent`` writes it.  That is CPython's C encoder, except for
-    an array of floats that are mostly zero, such as the data of a lifted
-    operator: there only the entries whose bits are nonzero go through
-    ``float.__repr__`` and the others are written ``0.0``.  Keys are
-    written as ``str(key)``: the outputs here have string keys only.
-    """
-    return _dumps(obj, "")
-
-
-def _dumps(obj, indent):
-    inner = indent + "  "
-    if isinstance(obj, dict) and obj:
-        items = [json.dumps(str(k)) + ": " + _dumps(v, inner) for k, v in obj.items()]
-        brackets = "{}"
-    elif isinstance(obj, (list, tuple)):
-        types = set(map(type, obj))
-        if types == {float}:
-            return _float_array(obj)
-        if not any(issubclass(t, dict) for t in types):
-            return json.dumps(obj)
-        items = [_dumps(v, inner) for v in obj]
-        brackets = "[]"
-    else:
-        return json.dumps(obj)
-    body = ",\n".join(inner + item for item in items)
-    return f"{brackets[0]}\n{body}\n{indent}{brackets[1]}"
-
-
-_CHUNK = 1 << 15  # floats per temporary array of _float_array: 256 KB
-
-
-def _float_array(values):
-    """``json.dumps(values)`` for a list of Python floats, faster when most are 0.0.
-
-    The list is written in chunks of ``_CHUNK`` entries, so that no
-    temporary grows with it.  In a chunk, only the entries whose bits are
-    nonzero (-0.0 among them) go through ``float.__repr__``; the rest are
-    written ``0.0``.  A chunk with more than one nonzero entry in five,
-    where the C encoder is faster, or with a NaN or an infinity goes to
-    ``json.dumps``.
+    a 1-D float64 ndarray, such as the data of ``bundle_to_wire``, and a
+    list or tuple of Python floats, such as the data of ``bundle_to_json``:
+    ``_float_array`` writes them as ``json.dumps`` writes their lists.  Any
+    other ndarray is written as its ``tolist()``.  Keys are written as
+    ``str(key)``: the outputs here have string keys only.
     """
     parts = []
-    for start in range(0, len(values), _CHUNK):
-        chunk = values[start:start + _CHUNK]
-        a = np.array(chunk, dtype=float)
-        nonzero = np.flatnonzero(a.view(np.int64))
-        if 5 * len(nonzero) > len(a) or not np.isfinite(a[nonzero]).all():
-            parts.append(json.dumps(chunk)[1:-1])
-            continue
-        tokens = ["0.0"] * len(a)
-        for i in nonzero.tolist():
-            tokens[i] = repr(chunk[i])
-        parts.append(", ".join(tokens))
-    return "[" + ", ".join(parts) + "]"
+    _write(obj, "", parts)
+    return "".join(parts)
+
+
+def _write(obj, indent, parts):
+    """Append the text of obj to parts, so that each array's text is copied
+    once, into the result of ``dumps``."""
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype == np.float64:
+            parts.append(_float_array(obj))
+            return
+        obj = obj.tolist()
+    types = set(map(type, obj)) if isinstance(obj, (list, tuple)) else set()
+    if types == {float}:
+        parts.append(_float_array(np.array(obj)))
+        return
+    if isinstance(obj, dict) and obj:
+        items, brackets = [(json.dumps(str(k)) + ": ", v) for k, v in obj.items()], "{}"
+    elif any(issubclass(t, dict) for t in types):
+        items, brackets = [("", v) for v in obj], "[]"
+    else:
+        parts.append(json.dumps(obj))
+        return
+    inner = indent + "  "
+    separator = brackets[0] + "\n" + inner
+    for prefix, v in items:
+        parts.append(separator + prefix)
+        _write(v, inner, parts)
+        separator = ",\n" + inner
+    parts.append("\n" + indent + brackets[1])
+
+
+_CHUNK = 1 << 15  # entries per list of Python floats that _float_array hands to json.dumps
+
+
+def _float_array(a):
+    """``json.dumps(a.tolist())`` for a 1-D float64 array, faster when most entries are 0.0.
+
+    The entries whose bits are zero are written as runs of ``0.0``, built
+    by string repetition; only the others (-0.0 among them) go through
+    ``float.__repr__``.  An array with more than one nonzero entry in
+    five, where the C encoder is faster, or with a NaN or an infinity goes
+    to ``json.dumps`` in lists of ``_CHUNK`` entries, so that no list of
+    Python floats grows with the array.
+    """
+    bits = a.view(np.int64)
+    if 5 * np.count_nonzero(bits) <= len(a):
+        at = np.nonzero(bits)[0]
+        values = a[at]
+        if np.isfinite(values).all():
+            zeros = np.diff(at, prepend=-1, append=len(a)) - 1  # before each entry, and after the last
+            text = "".join(["0.0, " * z + repr(x) + ", "
+                            for z, x in zip(zeros.tolist(), values.tolist())])
+            return "[" + (text + "0.0, " * int(zeros[-1]))[:-2] + "]"
+    return "[" + ", ".join(json.dumps(a[start:start + _CHUNK].tolist())[1:-1]
+                           for start in range(0, len(a), _CHUNK)) + "]"
 
 
 def write_json(path, obj):
     with open(path, "w") as fh:
-        fh.write(dumps(obj) + "\n")
+        fh.writelines((dumps(obj), "\n"))
 
 
 def read_json(path):

@@ -20,20 +20,33 @@ _Y_FLAGS = {4: (1, 0, 1, 0), 8: (1, 1, 0, 1, 0, 1, 0, 0)}
 _W_FLAGS = {8: (1, 0, 1, 1, 0, 0, 1, 0)}
 
 
+def _integer(x, what):
+    """x as a Python int: an int, a numpy integer or a float with an integral
+    value; never a bool."""
+    if isinstance(x, bool) or not (isinstance(x, (int, np.integer)) or
+                                   isinstance(x, (float, np.floating)) and float(x).is_integer()):
+        raise DimensionError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class ProductSpace:
     """Dimensions of the two factors plus the right-factor block partition.
 
     ``partition`` must have length 4 (two-detector mode) or 8
     (three-detector mode); ``dim_i`` must be even, the slit projector rank
-    being fixed to ``dim_i // 2``.
+    being fixed to ``dim_i // 2``.  ``dim_i`` and each block size are
+    stored as Python ints; integral floats and numpy integers are read as
+    their values, while bools and other values raise DimensionError.
     """
 
     dim_i: int
     partition: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "partition", tuple(int(b) for b in self.partition))
+        object.__setattr__(self, "dim_i", _integer(self.dim_i, "dim_i"))
+        object.__setattr__(self, "partition",
+                           tuple(_integer(b, "a block size") for b in self.partition))
         if self.dim_i <= 0 or self.dim_i % 2 != 0:
             raise DimensionError(f"dim_i must be a positive even integer, got {self.dim_i}")
         if len(self.partition) not in (4, 8):

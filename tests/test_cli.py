@@ -1,12 +1,14 @@
 import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from twoslit import cli, fixtures, jsonio
+from twoslit import cli, family3, family4, fixtures, jsonio
 from twoslit.cli import main
+from twoslit.verify import verify_bundle
 
 
 def run_cli(capsys, *argv):
@@ -372,7 +374,39 @@ def test_output_differs_from_indented_json_only_in_whitespace(capsys, tmp_path, 
     if argv[0] == "verify":
         assert rc == 1 and any(c["residual"] != c["residual"] for c in obj["conditions"])
     assert out == dumps(obj) + "\n"
-    assert json.dumps(json.loads(out)) == json.dumps(json.loads(json.dumps(obj, indent=2)))
+    assert json.dumps(json.loads(out)) == json.dumps(json.loads(json.dumps(
+        obj, indent=2, default=lambda a: a.tolist())))
+
+
+def _reference_text(obj):
+    """``json.dumps(obj, indent=2)`` with each array that holds no object
+    swapped for its one-line ``json.dumps`` text."""
+    lines = []
+
+    def mark(o):
+        if isinstance(o, dict):
+            return {k: mark(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)) and any(isinstance(v, dict) for v in o):
+            return [mark(v) for v in o]
+        if isinstance(o, (list, tuple)):
+            lines.append(json.dumps(o))
+            return f"@array{len(lines) - 1}@"
+        return o
+
+    text = json.dumps(mark(obj), indent=2)
+    return re.sub(r'"@array(\d+)@"', lambda m: lines[int(m[1])], text)
+
+
+@pytest.mark.parametrize("command, family, name", [
+    ("generate3", family3, "spin32"), ("generate4", family4, "dim10")])
+def test_generate_output_equals_the_reference_text(capsys, command, family, name):
+    bundle = family.build(fixtures.fixture(name).params)
+    report = verify_bundle(bundle)
+    payload = report.to_dict()
+    payload["failing"] = report.failing()
+    want = _reference_text({"bundle": jsonio.bundle_to_json(bundle), "report": payload})
+    rc, out, _ = run_cli(capsys, command)
+    assert rc == 0 and out == want + "\n"
 
 
 @pytest.mark.parametrize("data", [

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -527,8 +528,62 @@ def test_dumps_writes_a_flat_list_as_json_dumps_does(values, as_tuple):
 ], ids=["negative-zero", "subnormal", "huge", "nan", "infinity", "half-nonzero",
         "zeros", "one-zero", "chunks"])
 def test_float_array_equals_json_dumps(values):
-    assert jsonio._float_array(values) == json.dumps(values)
-    assert jsonio._float_array(tuple(values)) == json.dumps(values)
+    want = json.dumps(values).split(", ")  # as lists, a failure reports the first difference fast
+    a = np.array(values)
+    assert jsonio._float_array(a).split(", ") == want
+    assert jsonio.dumps(a).split(", ") == want
+
+
+def _float64_arrays(values, layout):
+    """A 1-D float64 array holding values: owned, read-only, or a strided view."""
+    if layout == "strided":
+        a = np.full(2 * len(values) + 1, 7.5)
+        a[1::2][::-1] = values[::-1]
+        return a[1::2]
+    a = np.array(values, dtype=float)
+    a.flags.writeable = layout != "read-only"
+    return a
+
+
+_FLOAT_LISTS = st.one_of(
+    st.lists(_FLOATS),
+    st.lists(st.tuples(st.integers(0, 7), _FLOATS)).map(_mostly_zero),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FLOAT_LISTS, st.sampled_from(["owned", "read-only", "strided"]), st.integers(1, 9))
+def test_dumps_writes_a_float64_array_as_json_dumps_writes_its_list(values, layout, chunk):
+    a = _float64_arrays(values, layout)
+    assert a.tobytes() == np.array(values, dtype=float).tobytes()
+    with mock.patch.object(jsonio, "_CHUNK", chunk):  # short chunks keep long arrays cheap
+        assert jsonio.dumps(a) == json.dumps(a.tolist())
+        assert jsonio.dumps({"data": a}) == '{\n  "data": ' + json.dumps(a.tolist()) + "\n}"
+
+
+@pytest.mark.parametrize("a", [
+    np.eye(5, 2, 1), np.arange(6.0).reshape(2, 3), np.array([0, 0, 0, 0, 0, -3]),
+    np.array([0.1, -0.0, 0.0], dtype=np.float32),
+], ids=["sparse-matrix", "matrix", "integers", "float32"])
+def test_dumps_writes_any_other_array_as_its_list(a):
+    assert jsonio.dumps(a) == json.dumps(a.tolist())
+    assert jsonio.dumps({"data": a}) == '{\n  "data": ' + json.dumps(a.tolist()) + "\n}"
+
+
+@pytest.mark.parametrize("name", ["spin32", "dim10"])
+def test_bundle_wire_data_is_read_only_and_written_as_the_plain_form(name):
+    bundle = fixtures.fixture_bundle(name)
+    wire = jsonio.bundle_to_wire(bundle)
+    arrays = [wire["psi"], *wire["operators"].values(), *wire["core"].values()]
+    for d in arrays:
+        assert d["data"].dtype == np.float64 and d["data"].ndim == 1
+        with pytest.raises(ValueError):
+            d["data"][0] = 1.0
+    assert np.shares_memory(wire["operators"]["E"]["data"], bundle.E)
+    plain = jsonio.bundle_to_json(bundle)
+    assert jsonio.dumps(wire) == jsonio.dumps(plain)
+    assert json.loads(json.dumps(plain)) == plain
+    assert all(type(x) is float for x in plain["operators"]["E"]["data"])
 
 
 def test_lifted_operator_data_written_as_json_dumps_does():

@@ -33,6 +33,23 @@ def test_space_validation():
         ProductSpace(6, (1, 0, 1, 1))
 
 
+@pytest.mark.parametrize("dim_i, partition", [
+    (6, (1.5, 1, 1, True)), (6, (1, 1, 1, True)), (6, (1, 1, 1, np.float64(2.5))),
+    (6.5, (1, 1, 1, 1)), (True, (1, 1, 1, 1)), (6, (1, 1, 1, "2")), (float("nan"), (1,) * 4),
+], ids=["half-and-bool", "bool-block", "numpy-half", "half-dim", "bool-dim", "string-block",
+        "nan-dim"])
+def test_space_rejects_non_integer_sizes(dim_i, partition):
+    with pytest.raises(DimensionError):
+        ProductSpace(dim_i, partition)
+
+
+def test_space_reads_integral_sizes_as_python_ints():
+    sp = ProductSpace(6.0, (np.int64(2), 1.0, np.float64(1), np.uint8(1)))
+    assert sp == ProductSpace(6, (2, 1, 1, 1))
+    assert type(sp.dim_i) is int and all(type(b) is int for b in sp.partition)
+    assert type(sp.dim) is int and sp.dim == 30
+
+
 def test_slit_projector_diagonal():
     sp = ProductSpace(6, (1, 1, 1, 1))
     assert np.array_equal(np.diag(slit_projector(sp)), [1, 1, 1, 0, 0, 0])
