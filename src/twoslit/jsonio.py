@@ -18,14 +18,14 @@ indented and arrays on one line; input may use any JSON whitespace.
 
 import json
 from dataclasses import MISSING, fields
-from functools import wraps
+from functools import partial, wraps
 
 import numpy as np
 
 from .errors import DimensionError, FormatError, ModeError
 from .family3 import Family3Params
 from .family4 import Family4Params
-from .space import ProductSpace, SolutionBundle
+from .space import ProductSpace, SolutionBundle, as_int
 
 
 def _reading(from_json):
@@ -140,18 +140,15 @@ def space_to_json(sp):
 
 @_reading
 def space_from_json(d):
-    sp = ProductSpace(_integer(d["dim_i"]), tuple(_integer(b) for b in d["partition"]))
+    sp = ProductSpace(d["dim_i"], tuple(d["partition"]))
     rank = d.get("rank_e")
     if rank is not None and _integer(rank) != sp.rank_e:
         raise DimensionError(f"rank_e {rank} inconsistent with dim_i {sp.dim_i}")
     return sp
 
 
-def _integer(x):
-    """A JSON integer, or a float with an integral value; never a bool."""
-    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
-        raise FormatError(f"expected an integer, got {x!r}")
-    return int(x)
+# a JSON integer, or a float with an integral value; never a bool
+_integer = partial(as_int, what="the value", error=FormatError)
 
 
 # encoders and decoders by the annotated type of a parameter field
@@ -249,9 +246,8 @@ def dumps(obj):
     Each object, and each array that holds an object, is indented by two
     spaces; every other array goes on one line, written as ``json.dumps``
     without ``indent`` writes it.  That is CPython's C encoder, except for
-    a 1-D float64 ndarray, such as the data of ``bundle_to_wire``, and a
-    list or tuple of Python floats, such as the data of ``bundle_to_json``:
-    ``_float_array`` writes them as ``json.dumps`` writes their lists.  Any
+    a 1-D float64 ndarray, such as the data of ``bundle_to_wire``:
+    ``_float_array`` writes it as ``json.dumps`` writes its list.  Any
     other ndarray is written as its ``tolist()``.  Keys are written as
     ``str(key)``: the outputs here have string keys only.
     """
@@ -268,13 +264,9 @@ def _write(obj, indent, parts):
             parts.append(_float_array(obj))
             return
         obj = obj.tolist()
-    types = set(map(type, obj)) if isinstance(obj, (list, tuple)) else set()
-    if types == {float}:
-        parts.append(_float_array(np.array(obj)))
-        return
     if isinstance(obj, dict) and obj:
         items, brackets = [(json.dumps(str(k)) + ": ", v) for k, v in obj.items()], "{}"
-    elif any(issubclass(t, dict) for t in types):
+    elif isinstance(obj, (list, tuple)) and any(isinstance(v, dict) for v in obj):
         items, brackets = [("", v) for v in obj], "[]"
     else:
         parts.append(json.dumps(obj))

@@ -20,12 +20,12 @@ _Y_FLAGS = {4: (1, 0, 1, 0), 8: (1, 1, 0, 1, 0, 1, 0, 0)}
 _W_FLAGS = {8: (1, 0, 1, 1, 0, 0, 1, 0)}
 
 
-def _integer(x, what):
+def as_int(x, what, error=DimensionError):
     """x as a Python int: an int, a numpy integer or a float with an integral
-    value; never a bool."""
+    value; a bool or anything else raises ``error``."""
     if isinstance(x, bool) or not (isinstance(x, (int, np.integer)) or
                                    isinstance(x, (float, np.floating)) and float(x).is_integer()):
-        raise DimensionError(f"{what} must be an integer, got {x!r}")
+        raise error(f"{what} must be an integer, got {x!r}")
     return int(x)
 
 
@@ -44,9 +44,9 @@ class ProductSpace:
     partition: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "dim_i", _integer(self.dim_i, "dim_i"))
+        object.__setattr__(self, "dim_i", as_int(self.dim_i, "dim_i"))
         object.__setattr__(self, "partition",
-                           tuple(_integer(b, "a block size") for b in self.partition))
+                           tuple(as_int(b, "a block size") for b in self.partition))
         if self.dim_i <= 0 or self.dim_i % 2 != 0:
             raise DimensionError(f"dim_i must be a positive even integer, got {self.dim_i}")
         if len(self.partition) not in (4, 8):

@@ -522,9 +522,10 @@ def test_dumps_writes_a_flat_list_as_json_dumps_does(values, as_tuple):
     [1.5, -0.0] * 5,
     [0.0] * 10,
     [0.0],
-    [1.0 / 3] * jsonio._CHUNK                                     # a dense chunk,
-    + ([0.0] * 18 + [-0.0, 2.5]) * (jsonio._CHUNK // 20 + 1)      # a sparse one
-    + [0.0] * 5 + [float("nan")],                                 # and a NaN in the last
+    # over two chunks with a NaN: all of it goes to json.dumps, chunk by chunk
+    [1.0 / 3] * jsonio._CHUNK
+    + ([0.0] * 18 + [-0.0, 2.5]) * (jsonio._CHUNK // 20 + 1)
+    + [0.0] * 5 + [float("nan")],
 ], ids=["negative-zero", "subnormal", "huge", "nan", "infinity", "half-nonzero",
         "zeros", "one-zero", "chunks"])
 def test_float_array_equals_json_dumps(values):
