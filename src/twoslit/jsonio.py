@@ -14,6 +14,12 @@ each ``data`` left as a read-only float64 array, which ``dumps`` writes
 byte for byte as ``json.dumps`` writes its list; the CLI writes bundles
 that way, without a Python float per entry.  ``dumps`` writes objects
 indented and arrays on one line; input may use any JSON whitespace.
+
+``read_json`` reads back the layout ``dumps`` writes with each flat
+``data`` array as an owned float64 array, again without a Python float
+per entry that is ``0.0``; the decoders take such an array as it is.  It
+reads any other layout through ``json.load``, with the values (lists)
+and errors that ``json.load`` gives.
 """
 
 import json
@@ -22,6 +28,7 @@ from functools import partial, wraps
 
 import numpy as np
 
+from . import flatjson
 from .errors import DimensionError, FormatError, ModeError
 from .family3 import Family3Params
 from .family4 import Family4Params
@@ -76,6 +83,8 @@ def _plain(wire):
 def _from_wire(data, n):
     """The n complex entries of wire data, flat in row-major order.
 
+    data is a list or, as ``read_json`` returns it, a float64 array; the
+    entries of a contiguous float64 array of 2n numbers are a view of it.
     2n numbers are the interleaved layout, read only as a flat numeric
     array: a string, null, list or integer past 64 bits among them, or
     bools alone, raise DimensionError; a bool among numbers reads as 0 or
@@ -312,5 +321,8 @@ def write_json(path, obj):
 
 
 def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """The value of ``json.load`` on the file at path, with each flat
+    ``"data"`` array that ``dumps`` wrote read as an owned float64 array in
+    place of a list of Python floats: see ``flatjson.loads``."""
+    with open(path, "rb") as fh:
+        return flatjson.loads(fh.read())

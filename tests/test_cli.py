@@ -157,6 +157,31 @@ def test_solve_from_state_files(capsys, tmp_path):
     assert payload["targets"][0]["residual"] < 1e-10
 
 
+def _write_indented(path, obj):
+    path.write_text(json.dumps(obj, indent=1))
+
+
+@pytest.mark.parametrize("write", [jsonio.write_json, _write_indented],
+                         ids=["dumps", "indent-1"])
+@pytest.mark.parametrize("name", ["spin32", "dim10"])
+def test_solve_and_simulate_read_state_files_as_the_fixture(capsys, tmp_path, write, name):
+    fx = fixtures.fixture(name)
+    psi_path, space_path = tmp_path / "psi.json", tmp_path / "space.json"
+    write(psi_path, jsonio.vector_to_json(fx.psi))
+    write(space_path, jsonio.space_to_json(fx.space))
+    files = ("--psi", str(psi_path), "--space", str(space_path))
+    rc, solved = run_json(capsys, "solve", *files, "--no-filter")
+    rc_fixture, want = run_json(capsys, "solve", "--fixture", name, "--no-filter")
+    assert rc == rc_fixture == 0
+    assert [{k: t[k] for k in ("name", "residual", "nullity")} for t in solved["targets"]] \
+        == [{k: t[k] for k in ("name", "residual", "nullity")} for t in want["targets"]]
+    for fmt in ("json", "csv"):
+        simulated = run_cli(capsys, "simulate", *files, "--samples", "2000", "--format", fmt)
+        assert simulated == run_cli(capsys, "simulate", "--fixture", name, "--samples", "2000",
+                                    "--format", fmt)
+        assert simulated[0] == 0
+
+
 def test_solve_requires_inputs(capsys):
     rc, _, err = run_cli(capsys, "solve")
     assert rc == 2 and "error:" in err
@@ -475,3 +500,48 @@ def test_simulate_takes_no_tol(capsys):
     rc, out, err = run_cli(capsys, "simulate", "--samples", "1000", "--tol", "1e-3")
     assert rc == 2 and out == ""
     assert "--tol" in err
+
+
+def _json_load(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _edit_g_data(old, new):
+    """An edit of a bundle file's text: the first old after the start of
+    operator G's data becomes new."""
+    def edit(text):
+        at = text.index('"data": [', text.index('"G": {'))
+        return text[:at] + text[at:].replace(old, new, 1)
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_g_data("0.0, ", "0, "),
+    _edit_g_data("0.0, ", "true, "),
+    _edit_g_data("0.0, ", "null, "),
+    _edit_g_data("0.0, ", '"0.0", '),
+    _edit_g_data("0.0, ", "NaN, "),
+    _edit_g_data("0.0, ", "1" + "0" * 30 + ", "),
+    _edit_g_data("0.0, ", "1., "),
+    _edit_g_data("0.0, ", "00, "),
+    _edit_g_data("0.0, ", "0.0,  "),
+    _edit_g_data("0.0, ", "0.0,\n"),
+    _edit_g_data("0.0, ", "0.0,"),
+    _edit_g_data("]", ", ]"),
+    lambda text: "\ufeff" + text,
+    lambda text: text.replace('"C.1"', '"C.1 \u00e9"', 1),
+    lambda text: text[:len(text) // 2],
+    lambda text: text.replace('"kind"', '"kind": "x \\"data\\": [1.5] y", "kind"', 1),
+], ids=["int", "bool", "null", "string", "nan", "huge-integer", "1.", "00", "double-space",
+        "newline", "no-space", "trailing-comma", "bom", "non-ascii", "truncated",
+        "escaped-in-string"])
+def test_verify_reads_hostile_bundle_text_as_json_load_does(capsys, tmp_path, monkeypatch,
+                                                            edit):
+    good = tmp_path / "b3.json"
+    assert run_cli(capsys, "generate3", "--out", str(good))[0] == 0
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(edit(good.read_text()).encode("utf-8"))
+    got = run_cli(capsys, "verify", "--bundle", str(bad))
+    monkeypatch.setattr(jsonio, "read_json", _json_load)
+    assert got == run_cli(capsys, "verify", "--bundle", str(bad))

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoslit import family3, family4, fixtures, jsonio
+from twoslit import family3, family4, fixtures, flatjson, jsonio
 from twoslit.errors import DimensionError, FormatError, ModeError
 from twoslit.space import ProductSpace
 from twoslit.verify import verify_bundle
@@ -587,9 +588,150 @@ def test_bundle_wire_data_is_read_only_and_written_as_the_plain_form(name):
     assert all(type(x) is float for x in plain["operators"]["E"]["data"])
 
 
-def test_lifted_operator_data_written_as_json_dumps_does():
-    bundle = fixtures.fixture_bundle("dim10")
+def test_lifted_operator_data_reads_back_as_sparse_float64_arrays(tmp_path):
+    wire = jsonio.bundle_to_wire(fixtures.fixture_bundle("dim10"))
+    path = tmp_path / "dim10.json"
+    jsonio.write_json(path, wire)
+    runs, sparse_runs = {}, flatjson._sparse_runs
+
+    def recording_runs(text, work):
+        runs[len(text)] = sparse_runs(text, work)
+        return runs[len(text)]
+
+    with mock.patch.object(flatjson, "_sparse_runs", recording_runs):
+        back = jsonio.read_json(path)
     for name in ("E", "G", "L", "T", "Y", "W"):
-        data = jsonio.matrix_to_json(getattr(bundle, name))["data"]
-        assert 5 * np.count_nonzero(np.array(data).view(np.int64)) < len(data)  # the sparse path
-        assert jsonio.dumps(data) == json.dumps(data)
+        want, got = wire["operators"][name]["data"], back["operators"][name]["data"]
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.flags.owndata
+        count, _, _, at = runs[len(jsonio.dumps(want)) - 2]  # the one chunk of this array
+        assert count == len(want) and 5 * len(at) < count  # only the entries not 0.0 parsed
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def _assert_reads_as_json_load(got, want, key=None):
+    """got equals want, the value of json.load, except that got may hold a
+    float64 array where want holds the list of a "data" key: then bit for
+    bit its np.asarray."""
+    if isinstance(got, np.ndarray):
+        assert key == "data" and type(want) is list
+        assert got.dtype == np.float64 and got.flags.owndata
+        assert got.view(np.int64).tolist() == np.asarray(want).view(np.int64).tolist()
+        return
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for k in want:
+            _assert_reads_as_json_load(got[k], want[k], k)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            _assert_reads_as_json_load(x, y)
+    else:
+        assert got == want or (got != got and want != want)
+
+
+def _data_values(value):
+    """Every value under a "data" key, in document order."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            if k == "data":
+                yield v
+            else:
+                yield from _data_values(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _data_values(v)
+
+
+_DOCUMENTS = st.recursive(
+    st.fixed_dictionaries({"dim": st.integers(0, 9), "data": st.one_of(
+        st.lists(_FLOATS, max_size=30),
+        st.lists(st.tuples(st.integers(0, 7), _FLOATS), max_size=300).map(_mostly_zero))}),
+    lambda inner: st.one_of(
+        st.dictionaries(st.sampled_from(["psi", "operators", "G", "data-ish"]), inner,
+                        min_size=1, max_size=3),
+        st.lists(inner, min_size=1, max_size=3)),
+    max_leaves=5)
+_LAYOUTS = {"dumps": jsonio.dumps,
+            "compact": partial(json.dumps, separators=(",", ":")),
+            "indent-1": partial(json.dumps, indent=1)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCUMENTS, st.sampled_from(sorted(_LAYOUTS)), st.sampled_from([1, 7, 64, 1 << 18]),
+       st.sampled_from([0, 1 << 12]))
+def test_read_json_reads_as_json_load(tmp_path_factory, doc, layout, chunk, small):
+    path = tmp_path_factory.mktemp("read") / "doc.json"
+    path.write_text(_LAYOUTS[layout](doc))
+    with mock.patch.object(flatjson, "_READ_CHUNK", chunk), \
+            mock.patch.object(flatjson, "_SMALL", small):  # short chunks: long arrays cheaply
+        got = jsonio.read_json(path)
+    with open(path) as fh:
+        _assert_reads_as_json_load(got, json.load(fh))
+    if layout == "dumps":  # the writer's layout reads without a Python float per 0.0
+        assert all(type(d) is np.ndarray for d in _data_values(got))
+
+
+_LONG = ", ".join(["0.0"] * 3 + ["-2.5"] + ["0.0"] * 4)
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 2, "data": [0.0, 1, 0.0, 0.0]}',
+    '{"dim": 2, "data": [0.0, true, 0.0, 0.0]}',
+    '{"dim": 2, "data": [0.0, null, 0.0, 0.0]}',
+    '{"dim": 2, "data": [0.0, "1.5", 0.0, 0.0]}',
+    '{"dim": 2, "data": [NaN, Infinity, -Infinity, 0.0]}',
+    '{"x": NaN, "data": [0.0, 1.5]}',
+    '{"dim": 1, "data": [123456789012345678901234567890, 0.0]}',
+    '{"data": [0.0, 1., 0.0]}',
+    '{"data": [0.0, .5, 0.0]}',
+    '{"data": [0.0, +1, 0.0]}',
+    '{"data": [0.0, 00, 0.0]}',
+    '{"data": [0.0, 000, 0.0]}',
+    '{"data": [0.0, 0e0, 0.0]}',
+    '{"data": [0.0, 1.5, ]}',
+    '{"data": [0.0,  1.5, 0.0]}',
+    '{"data": [0.0,\n 1.5, 0.0]}',
+    '{"data": [0.0,-0.0, 1.5]}',
+    '\ufeff{"data": [0.0, 1.5]}',
+    '{"name": "\u00e9", "data": [0.0, 1.5]}',
+    '{"s": "x \\"data\\": [1.5, 0.0] y", "data": [0.0, 2.5]}',
+    '{"x\\"data": [1.5, 0.0], "data": [0.0]}',
+    '{"s": "\\"data": [1.5]", "data": [0.0]}',
+    '{"data": [1.5, 0.0], "data": [0.0, 2.5, 0.0]}',
+    '{"dim": 2, "data": [[1.5, 0.0], [0.0, 0.0]]}',
+    '{"dim": 4, "data": [' + _LONG,
+    '{"dim": 4, "data": [' + _LONG + '], "rows"',
+    '{"dim": 4, "data": [' + _LONG + ']}',
+    '{"dim": 4, "data": [' + _LONG + '], "other": {"data": []}}',
+], ids=["int", "bool", "null", "string", "non-finite", "nan-outside", "huge-integer",
+        "1.", ".5", "+1", "00", "000", "0e0", "trailing-comma", "double-space", "newline", "no-space",
+        "bom", "non-ascii", "escaped-in-string", "escaped-key", "escaped-quote-invalid",
+        "duplicate-data", "pairs", "truncated-array", "truncated-object", "plain", "empty"])
+@pytest.mark.parametrize("chunk, small", [(1 << 18, 1 << 12), (4, 0)], ids=["whole", "chunked"])
+def test_read_json_hostile_text_reads_as_json_load(tmp_path, text, chunk, small):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path) as fh:
+        try:
+            want = json.load(fh)
+        except ValueError as exc:
+            want = exc
+    with mock.patch.object(flatjson, "_READ_CHUNK", chunk), \
+            mock.patch.object(flatjson, "_SMALL", small):
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)) as got:
+                jsonio.read_json(path)
+            assert str(got.value) == str(want)
+        else:
+            _assert_reads_as_json_load(jsonio.read_json(path), want)
+
+
+def test_read_json_not_utf8_raises_as_json_load(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"data": [0.0, 1.5], "s": "\xff"}')
+    with open(path) as fh, pytest.raises(ValueError) as want:
+        json.load(fh)
+    with pytest.raises(type(want.value)) as got:
+        jsonio.read_json(path)
+    assert str(got.value) == str(want.value)
