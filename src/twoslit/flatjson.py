@@ -4,9 +4,8 @@
 ``"data": [x, y, ...]`` array comes back as an owned float64 array, and
 no Python float is built for an entry that is ``0.0``.  That holds for
 text that is ASCII, has no ``NaN`` or ``Infinity`` outside the arrays,
-and in each ``data`` array has only JSON floats and, past a few
-kilobytes, only ``", "`` separators.  Any other text (other whitespace in
-a long array, the pair layout, integers, bools, ``null``, a BOM, a syntax
+and in each ``data`` array has only JSON floats and only ``", "``
+separators.  Any other text (other whitespace in an array, the pair layout, integers, bools, ``null``, a BOM, a syntax
 error) is read by ``json.load`` whole, so its value, or the error it
 raises, is the one ``json.load`` gives for a file holding it.
 """
@@ -28,7 +27,6 @@ def loads(raw):
 
 _DATA = b'"data": ['
 _READ_CHUNK = 1 << 18  # bytes of array text that _flat_floats scans at a time
-_SMALL = 1 << 12  # bytes of array text up to which json.loads reads it faster
 
 
 def _read_arrays(raw):
@@ -74,24 +72,23 @@ def _json_floats(text):
     it reads a list of floats."""
     try:
         values = json.loads(text.decode("ascii"))
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
     return values if set(map(type, values)) <= {float} else None
 
 
 def _flat_floats(raw, begin, end, work):
     """The numbers of the array text ``raw[begin:end]`` as an owned float64
-    array, or None unless each is a JSON float (and, past ``_SMALL`` bytes,
-    each comma starts a ``", "`` separator).
+    array, or None unless each is a JSON float and each comma starts a
+    ``", "`` separator.
 
     A long text is scanned in chunks of about ``_READ_CHUNK`` bytes, with
     the temporaries in ``work``, so that none grows with the text.  Tokens
     that are exactly ``0.0`` are found by ``_sparse_runs`` and left as the
     zeros of the result; only the other tokens go through ``json.loads``.
     """
-    if end - begin <= _SMALL:
-        values = _json_floats(raw[begin - 1:end + 1])
-        return None if values is None else np.array(values, dtype=float)
+    if begin == end:
+        return np.zeros(0)
     u = np.frombuffer(raw, np.uint8)
     commas = 0
     for p in range(begin, end, _READ_CHUNK):

@@ -533,9 +533,10 @@ def _edit_g_data(old, new):
     lambda text: text.replace('"C.1"', '"C.1 \u00e9"', 1),
     lambda text: text[:len(text) // 2],
     lambda text: text.replace('"kind"', '"kind": "x \\"data\\": [1.5] y", "kind"', 1),
+    lambda text: _edit_g_data("0.0, ", "[" * 1500 + "0.0, ")(text.replace("{", '{"a" 1, ', 1)),
 ], ids=["int", "bool", "null", "string", "nan", "huge-integer", "1.", "00", "double-space",
         "newline", "no-space", "trailing-comma", "bom", "non-ascii", "truncated",
-        "escaped-in-string"])
+        "escaped-in-string", "deep-nesting"])
 def test_verify_reads_hostile_bundle_text_as_json_load_does(capsys, tmp_path, monkeypatch,
                                                             edit):
     good = tmp_path / "b3.json"

@@ -658,13 +658,11 @@ _LAYOUTS = {"dumps": jsonio.dumps,
 
 
 @settings(max_examples=200, deadline=None)
-@given(_DOCUMENTS, st.sampled_from(sorted(_LAYOUTS)), st.sampled_from([1, 7, 64, 1 << 18]),
-       st.sampled_from([0, 1 << 12]))
-def test_read_json_reads_as_json_load(tmp_path_factory, doc, layout, chunk, small):
+@given(_DOCUMENTS, st.sampled_from(sorted(_LAYOUTS)), st.sampled_from([1, 7, 64, 1 << 18]))
+def test_read_json_reads_as_json_load(tmp_path_factory, doc, layout, chunk):
     path = tmp_path_factory.mktemp("read") / "doc.json"
     path.write_text(_LAYOUTS[layout](doc))
-    with mock.patch.object(flatjson, "_READ_CHUNK", chunk), \
-            mock.patch.object(flatjson, "_SMALL", small):  # short chunks: long arrays cheaply
+    with mock.patch.object(flatjson, "_READ_CHUNK", chunk):  # short chunks: long arrays cheaply
         got = jsonio.read_json(path)
     with open(path) as fh:
         _assert_reads_as_json_load(got, json.load(fh))
@@ -700,6 +698,7 @@ _LONG = ", ".join(["0.0"] * 3 + ["-2.5"] + ["0.0"] * 4)
     '{"s": "\\"data": [1.5]", "data": [0.0]}',
     '{"data": [1.5, 0.0], "data": [0.0, 2.5, 0.0]}',
     '{"dim": 2, "data": [[1.5, 0.0], [0.0, 0.0]]}',
+    '{"a" 1, "data": [' + "[" * 1500 + '1.0]}',
     '{"dim": 4, "data": [' + _LONG,
     '{"dim": 4, "data": [' + _LONG + '], "rows"',
     '{"dim": 4, "data": [' + _LONG + ']}',
@@ -707,9 +706,9 @@ _LONG = ", ".join(["0.0"] * 3 + ["-2.5"] + ["0.0"] * 4)
 ], ids=["int", "bool", "null", "string", "non-finite", "nan-outside", "huge-integer",
         "1.", ".5", "+1", "00", "000", "0e0", "trailing-comma", "double-space", "newline", "no-space",
         "bom", "non-ascii", "escaped-in-string", "escaped-key", "escaped-quote-invalid",
-        "duplicate-data", "pairs", "truncated-array", "truncated-object", "plain", "empty"])
-@pytest.mark.parametrize("chunk, small", [(1 << 18, 1 << 12), (4, 0)], ids=["whole", "chunked"])
-def test_read_json_hostile_text_reads_as_json_load(tmp_path, text, chunk, small):
+        "duplicate-data", "pairs", "deep-nesting", "truncated-array", "truncated-object", "plain", "empty"])
+@pytest.mark.parametrize("chunk", [1 << 18, 4], ids=["whole", "chunked"])
+def test_read_json_hostile_text_reads_as_json_load(tmp_path, text, chunk):
     path = tmp_path / "hostile.json"
     path.write_bytes(text.encode("utf-8"))
     with open(path) as fh:
@@ -717,8 +716,7 @@ def test_read_json_hostile_text_reads_as_json_load(tmp_path, text, chunk, small)
             want = json.load(fh)
         except ValueError as exc:
             want = exc
-    with mock.patch.object(flatjson, "_READ_CHUNK", chunk), \
-            mock.patch.object(flatjson, "_SMALL", small):
+    with mock.patch.object(flatjson, "_READ_CHUNK", chunk):
         if isinstance(want, Exception):
             with pytest.raises(type(want)) as got:
                 jsonio.read_json(path)
