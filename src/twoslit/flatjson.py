@@ -5,9 +5,10 @@
 no Python float is built for an entry that is ``0.0``.  That holds for
 text that is ASCII, has no ``NaN`` or ``Infinity`` outside the arrays,
 and in each ``data`` array has only JSON floats and only ``", "``
-separators.  Any other text (other whitespace in an array, the pair layout, integers, bools, ``null``, a BOM, a syntax
-error) is read by ``json.load`` whole, so its value, or the error it
-raises, is the one ``json.load`` gives for a file holding it.
+separators.  Any other text (other whitespace in an array, the pair
+layout, integers, bools, ``null``, a BOM, a syntax error) is read by
+``json.load`` whole, so its value, or the error it raises, is the one
+``json.load`` gives for a file holding it.
 """
 
 import io
