@@ -85,14 +85,19 @@ def cmd_reproduce(args):
     return 0 if ok else 1
 
 
+def _state_files(args, usage):
+    """The space and state in --space and --psi; ``usage`` unless both are given."""
+    if not (args.psi and args.space):
+        raise TwoSlitError(usage)
+    return (jsonio.space_from_json(jsonio.read_json(args.space)),
+            jsonio.vector_from_json(jsonio.read_json(args.psi)))
+
+
 def _solver_inputs(args):
     if args.fixture:
         fx = fixture(args.fixture)
         return fx.space, fx.psi, fx.cores
-    if not (args.psi and args.space):
-        raise TwoSlitError("solve needs either --fixture or both --psi and --space")
-    sp = jsonio.space_from_json(jsonio.read_json(args.space))
-    psi = jsonio.vector_from_json(jsonio.read_json(args.psi))
+    sp, psi = _state_files(args, "solve needs either --fixture or both --psi and --space")
     return sp, psi, {}
 
 
@@ -125,10 +130,7 @@ def cmd_solve(args):
 
 def cmd_simulate(args):
     if args.psi or args.space:
-        if not (args.psi and args.space):
-            raise TwoSlitError("simulate needs both --psi and --space, or neither")
-        sp = jsonio.space_from_json(jsonio.read_json(args.space))
-        psi = jsonio.vector_from_json(jsonio.read_json(args.psi))
+        sp, psi = _state_files(args, "simulate needs both --psi and --space, or neither")
     else:
         fx = fixture(args.fixture)
         sp, psi = fx.space, fx.psi

@@ -185,7 +185,11 @@ def params_from_json(cls, d):
 _KINDS = {3: "two-detector", 4: "three-detector"}  # by space mode
 _PARAMS = {3: Family3Params, 4: Family4Params}
 _OPERATORS = {3: ("E", "G", "T", "Y"), 4: ("E", "G", "T", "Y", "L", "W")}
-_CORES = {3: ("G_I",), 4: ("G_I", "L_I")}
+
+
+def _cores(sp):
+    """The key of each property's H_I core, for the properties after E."""
+    return [f"{prop}_I" for prop, _, _ in sp.pairs[1:]]
 
 
 def bundle_to_wire(bundle):
@@ -199,7 +203,7 @@ def bundle_to_wire(bundle):
         "space": space_to_json(bundle.space),
         "psi": _vector_to_wire(bundle.psi),
         "operators": {k: _matrix_to_wire(getattr(bundle, k)) for k in _OPERATORS[mode]},
-        "core": {k: _matrix_to_wire(getattr(bundle, k)) for k in _CORES[mode]
+        "core": {k: _matrix_to_wire(getattr(bundle, k)) for k in _cores(bundle.space)
                  if getattr(bundle, k) is not None},
         "params": _params_to_wire(bundle.params) if bundle.params is not None else None,
         "derived": None if derived is None else {
@@ -232,7 +236,7 @@ def bundle_from_json(d):
     return SolutionBundle(
         space=sp, psi=vector_from_json(d["psi"]),
         **{k: matrix_from_json(ops[k]) for k in _OPERATORS[sp.mode]},
-        **{k: matrix_from_json(core[k]) if k in core else None for k in _CORES[sp.mode]},
+        **{k: matrix_from_json(core[k]) if k in core else None for k in _cores(sp)},
         params=params_from_json(_PARAMS[sp.mode], d["params"]) if d.get("params") else None,
         derived=None if derived is None else {
             k: pair_to_complex(v) if isinstance(v, list) else float(v)

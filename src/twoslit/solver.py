@@ -56,7 +56,6 @@ class ConstraintSystem:
     matrix: np.ndarray
     rhs: dict
     degenerate: bool
-    psi: np.ndarray
 
     @property
     def mode(self):
@@ -137,16 +136,14 @@ def assemble(E_I, psi, sp: ProductSpace) -> ConstraintSystem:
 
     rows = psi.reshape(sp.dim_i, sp.dim_ii)
     rhs = {}
-    pairs = [("G", "Y"), ("L", "W")] if sp.mode == 4 else [("G", "Y")]
-    for name, detector in pairs:
-        rhs_c = (rows * np.repeat(detector_flags(sp, detector), sp.partition)).reshape(-1)
+    for name, _, flags in sp.pairs[1:]:  # E_I is given: a right-hand side per core after it
+        rhs_c = (rows * np.repeat(flags, sp.partition)).reshape(-1)
         rhs[name] = np.concatenate([rhs_c.real, rhs_c.imag])
 
     e_psi = (E_I @ rows).reshape(-1)
     degenerate = bool(np.linalg.norm(e_psi) <= 1e-10 * scale
                       or np.linalg.norm(psi - e_psi) <= 1e-10 * scale)
-    return ConstraintSystem(space=sp, matrix=_system_matrix(rows), rhs=rhs,
-                            degenerate=degenerate, psi=psi.copy())
+    return ConstraintSystem(space=sp, matrix=_system_matrix(rows), rhs=rhs, degenerate=degenerate)
 
 
 def solve(cs: ConstraintSystem):
@@ -196,30 +193,31 @@ def _purify(m, max_iter=200, stop=1e-13):
 
 # Starting points purified as one stack: bounds memory for any draw count.
 _BATCH = 64
+_PROJECTOR_TOL = 1e-9  # of the projector predicates a survivor must pass
 
 
-def filter_projectors(sol: AffineSolutionSet, sp: ProductSpace, tol=1e-9,
+def filter_projectors(sol: AffineSolutionSet, sp: ProductSpace,
                       draws=10000, box=2.0, seed=0, candidates=()):
     """Projector members of an affine solution set.
 
     Candidate matrices (if given) are projected onto the set and purified
     first, then ``draws`` random coordinate points from the centered box of
     half-width ``box`` are purified in order, ``_BATCH`` at a time.
-    Survivors must pass both projector predicates at ``tol``, still satisfy
-    the linear system, and be distinct from earlier survivors; the result
-    order is deterministic for a fixed seed.
+    Survivors must pass both projector predicates at ``_PROJECTOR_TOL``,
+    still satisfy the linear system, and be distinct from earlier
+    survivors; the result order is deterministic for a fixed seed.
     """
     found = []
 
     def consider(m):
         if m is None:
             return
-        if not (is_hermitian(m, tol) and is_idempotent(m, tol)):
+        if not (is_hermitian(m, _PROJECTOR_TOL) and is_idempotent(m, _PROJECTOR_TOL)):
             return
         # membership: the purified point must not have left the affine set
         delta = coords(m) - sol.particular
         off_set = np.linalg.norm(delta - sol.nullspace.T @ (sol.nullspace @ delta))
-        if off_set > max(tol, 1e-8):
+        if off_set > 1e-8:
             return
         for prev in found:
             if np.max(np.abs(prev - m)) <= 1e-8:

@@ -5,6 +5,10 @@ E_I = diag(1..1, 0..0) of rank dim_i/2; H_II is partitioned into 4 or 8
 ordered blocks A_1..A_k on which the detector projectors live.  Basis
 ordering: component index = (H_I index) * dim_ii + (H_II index), so
 np.kron(left, right) matches the layout.
+
+The number of blocks decides the mode.  ``ProductSpace.pairs``, the one
+table of which properties and detectors a mode has, pairs each property
+in order with the detector that tracks it and that detector's blocks.
 """
 
 from dataclasses import dataclass
@@ -14,10 +18,13 @@ import numpy as np
 from .errors import DimensionError, ModeError
 from .linalg import as_cmatrix
 
-# Detector membership per block, 1-indexed blocks mapped to 0-based flags.
-_T_FLAGS = {4: (1, 1, 0, 0), 8: (1, 1, 1, 0, 1, 0, 0, 0)}
-_Y_FLAGS = {4: (1, 0, 1, 0), 8: (1, 1, 0, 1, 0, 1, 0, 0)}
-_W_FLAGS = {8: (1, 0, 1, 1, 0, 0, 1, 0)}
+# By number of blocks, the ordered (property, detector, block flags) triples: T = A1 + A2
+# and Y = A1 + A3 on 4; on 8 the detectors overlap pairwise on two blocks, sharing A1.
+_PAIRS = {4: (("E", "T", (1, 1, 0, 0)),
+              ("G", "Y", (1, 0, 1, 0))),
+          8: (("E", "T", (1, 1, 1, 0, 1, 0, 0, 0)),
+              ("G", "Y", (1, 1, 0, 1, 0, 1, 0, 0)),
+              ("L", "W", (1, 0, 1, 1, 0, 0, 1, 0)))}
 
 
 def as_int(x, what, error=DimensionError):
@@ -49,7 +56,7 @@ class ProductSpace:
                            tuple(as_int(b, "a block size") for b in self.partition))
         if self.dim_i <= 0 or self.dim_i % 2 != 0:
             raise DimensionError(f"dim_i must be a positive even integer, got {self.dim_i}")
-        if len(self.partition) not in (4, 8):
+        if len(self.partition) not in _PAIRS:
             raise ModeError(f"partition must have 4 or 8 blocks, got {len(self.partition)}")
         if any(b <= 0 for b in self.partition):
             raise DimensionError(f"block sizes must be positive, got {self.partition}")
@@ -70,6 +77,11 @@ class ProductSpace:
     def mode(self):
         """3 for a 4-block partition, 4 for an 8-block partition."""
         return 3 if len(self.partition) == 4 else 4
+
+    @property
+    def pairs(self):
+        """The ordered (property, detector, block flags) triples of this mode."""
+        return _PAIRS[len(self.partition)]
 
 
 def slit_projector(sp: ProductSpace):
@@ -95,26 +107,11 @@ def block_weights(psi, sp: ProductSpace):
 
 
 def detector_flags(sp: ProductSpace, name):
-    """Block membership (0/1 per block) of detector ``name`` in {T, Y, W}."""
-    k = len(sp.partition)
-    table = {"T": _T_FLAGS, "Y": _Y_FLAGS, "W": _W_FLAGS}.get(name)
-    if table is None or k not in table:
-        raise ModeError(f"no detector {name!r} in {k}-block mode")
-    return table[k]
-
-
-def detector_projectors(sp: ProductSpace):
-    """The H_II detector projectors: (T_II, Y_II) or (T_II, Y_II, W_II).
-
-    In 4-block mode T_II = A1 + A2 and Y_II = A1 + A3; in 8-block mode the
-    three detectors overlap pairwise on two blocks each, sharing A1.
-    """
-    k = len(sp.partition)
-    t = block_projector(sp, _T_FLAGS[k])
-    y = block_projector(sp, _Y_FLAGS[k])
-    if k == 4:
-        return t, y
-    return t, y, block_projector(sp, _W_FLAGS[k])
+    """Block membership (0/1 per block) of detector ``name`` in ``sp.pairs``."""
+    for _, detector, flags in sp.pairs:
+        if detector == name:
+            return flags
+    raise ModeError(f"no detector {name!r} in {len(sp.partition)}-block mode")
 
 
 def lift_left(a, sp: ProductSpace):
@@ -181,13 +178,12 @@ def assemble(space, psi, g_core, l_core=None, params=None, derived=None):
 
     ``l_core`` is required in three-detector mode and refused otherwise.
     """
-    if (l_core is not None) != (space.mode == 4):
+    if (l_core is not None) != any(prop == "L" for prop, _, _ in space.pairs):
         raise ModeError(f"L_I is needed exactly in three-detector mode, got mode {space.mode}")
-    three = l_core is not None
-    props = [lift_left(a, space) for a in (slit_projector(space), g_core, l_core) if a is not None]
-    dets = [lift_right(b, space) for b in detector_projectors(space)]
-    return SolutionBundle(
-        space=space, psi=psi, E=props[0], G=props[1], T=dets[0], Y=dets[1], G_I=g_core,
-        L=props[2] if three else None, W=dets[2] if three else None, L_I=l_core,
-        params=params, derived=derived,
-    )
+    cores = {"E": slit_projector(space), "G": g_core, "L": l_core}
+    ops = {}
+    for prop, detector, flags in space.pairs:
+        ops[prop] = lift_left(cores[prop], space)
+        ops[detector] = lift_right(block_projector(space, flags), space)
+    return SolutionBundle(space=space, psi=psi, G_I=g_core, L_I=l_core,
+                          params=params, derived=derived, **ops)

@@ -11,8 +11,8 @@ operator is bit for bit a lift ``a (x) 1`` or ``1 (x) b``: with
 ``rows = psi.reshape(dim_i, dim_ii)``, ``(a (x) 1) psi`` is ``a @ rows``,
 ``(1 (x) b) psi`` is ``rows @ b.T``, ``||[a (x) 1, c (x) 1]||_F`` is
 ``sqrt(dim_ii) ||[a, c]||_F`` and ``[a (x) 1, 1 (x) b]`` vanishes.  Any
-other bundle goes through the dense checks ``check3``/``check4``.  Both
-paths build their entries with one generator over the (property,
+other bundle goes through the dense checks of ``check3``/``check4``.  Both
+paths build their entries with one generator over the space's (property,
 detector) pairs and scan one correlation catalog.
 """
 
@@ -162,12 +162,18 @@ def check3(E, G, T, Y, psi, tol=None, tol_nonzero=None, space=None):
     C.5  E psi and G psi differ from both 0 and psi (non-triviality);
     C.6  (when ``space`` is given) T and Y act on the right factor only.
     """
+    return _dense_report([E, G], [T, Y], psi, tol, tol_nonzero, space)
+
+
+def _dense_report(props, dets, psi, tol, tol_nonzero, space=None):
+    """The dense report for ``props`` paired in order with ``dets``; with ``space``,
+    also the structural C.6: every detector acts on the right factor only."""
     t, tnz = _tolerances(tol, tol_nonzero)
     psi = _normalized(psi)
-    _conformable(psi, E, G, T, Y)
-    entries = _conditions([E, G], [T, Y], psi, t, tnz)
+    _conformable(psi, *props, *dets)
+    entries = _conditions(props, dets, psi, t, tnz)
     if space is not None:
-        res = max(_right_factor_residual(T, space), _right_factor_residual(Y, space))
+        res = max(_right_factor_residual(d, space) for d in dets)
         entries.append(CheckEntry("C.6", "structural", float(res), bool(res <= t)))
     return VerificationReport(entries=entries, tol=t, tol_nonzero=tnz)
 
@@ -189,11 +195,7 @@ def check4(E, G, L, T, Y, W, psi, tol=None, tol_nonzero=None):
     C.7-C.9  pairwise compatibility of T, Y, W;
     C.10     non-triviality of E psi, G psi, L psi.
     """
-    t, tnz = _tolerances(tol, tol_nonzero)
-    psi = _normalized(psi)
-    _conformable(psi, E, G, L, T, Y, W)
-    return VerificationReport(entries=_conditions([E, G, L], [T, Y, W], psi, t, tnz),
-                              tol=t, tol_nonzero=tnz)
+    return _dense_report([E, G, L], [T, Y, W], psi, tol, tol_nonzero)
 
 
 def conditional_probability(a, b, psi, tol=None):
@@ -261,10 +263,6 @@ def _projector_residual(m):
     return max(float(np.max(np.abs(m - m.conj().T))), float(np.max(np.abs(m @ m - m))))
 
 
-_PROPERTIES = ("E", "G", "L")
-_DETECTORS = ("T", "Y", "W")  # paired in order with _PROPERTIES
-
-
 def _lift_core(op, sp, left):
     """The factor that ``op`` lifts, when ``op`` equals it lifted bit for bit.
 
@@ -290,15 +288,15 @@ def _lift_core(op, sp, left):
     return core.copy()
 
 
-def _factors(bundle, names):
+def _factors(bundle, props, dets):
     """Name -> core for an exactly lifted bundle with a finite state, else None."""
-    sp = getattr(bundle, "space", None)
+    sp = bundle.space
     psi = np.asarray(bundle.psi, dtype=complex)
-    if sp is None or psi.shape != (sp.dim,) or not np.isfinite(psi).all():
+    if psi.shape != (sp.dim,) or not np.isfinite(psi).all():
         return None
     cores = {}
-    for name in names:
-        cores[name] = _lift_core(getattr(bundle, name), sp, name in _PROPERTIES)
+    for name in props + dets:
+        cores[name] = _lift_core(getattr(bundle, name), sp, name in props)
         if cores[name] is None:
             return None
     return cores
@@ -316,30 +314,27 @@ def verify_bundle(bundle, tol=None, tol_nonzero=None):
     checked on the factors (``method == "factored"``); any other bundle
     (non-product, tampered, wrongly shaped or non-finite) gets the dense
     ``check3``/``check4`` evaluation (``method == "dense"``).  Both paths
-    draw their entries from one condition generator and their findings
-    from one correlation catalog.
+    take the (property, detector) pairs from ``bundle.space``, draw their
+    entries from one condition generator and their findings from one
+    correlation catalog.  The structural C.6 is checked on 4 blocks only.
     """
-    three = getattr(bundle, "W", None) is not None
-    props = _PROPERTIES if three else _PROPERTIES[:2]
-    dets = _DETECTORS if three else _DETECTORS[:2]
-    cores = _factors(bundle, props + dets)
+    sp = bundle.space
+    props, dets, _ = zip(*sp.pairs)
+    structural = len(sp.partition) == 4
+    cores = _factors(bundle, props, dets)
     if cores is None:
         ops = {name: getattr(bundle, name) for name in props + dets}
-        if three:
-            report = check4(*ops.values(), bundle.psi, tol=tol, tol_nonzero=tol_nonzero)
-        else:
-            report = check3(*ops.values(), bundle.psi, tol=tol, tol_nonzero=tol_nonzero,
-                            space=bundle.space)
+        report = _dense_report([ops[name] for name in props], [ops[name] for name in dets],
+                               bundle.psi, tol, tol_nonzero, sp if structural else None)
         report.correlation_findings = detect_correlations(bundle, tol=tol)
     else:
         ops = cores
         t, tnz = _tolerances(tol, tol_nonzero)
-        sp = bundle.space
         rows = _normalized(bundle.psi).reshape(sp.dim_i, sp.dim_ii)
         det_cores = [cores[name] for name in dets]
         entries = _conditions([cores[name] for name in props], det_cores, rows, t, tnz,
                               factored=True)
-        if not three:  # the exact-lift gate has settled the structural C.6
+        if structural:  # the exact-lift gate has settled it
             entries.append(CheckEntry("C.6", "structural", 0.0, True))
         report = VerificationReport(
             entries=entries, tol=t, tol_nonzero=tnz, method="factored",

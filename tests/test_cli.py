@@ -187,6 +187,20 @@ def test_solve_requires_inputs(capsys):
     assert rc == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("command, given, message", [
+    ("solve", "--psi", "solve needs either --fixture or both --psi and --space"),
+    ("simulate", "--space", "simulate needs both --psi and --space, or neither"),
+], ids=["solve-psi-only", "simulate-space-only"])
+def test_one_state_file_alone_exits_2(capsys, tmp_path, command, given, message):
+    fx = fixtures.fixture("spin32")
+    path = tmp_path / "input.json"
+    jsonio.write_json(path, jsonio.vector_to_json(fx.psi) if given == "--psi"
+                      else jsonio.space_to_json(fx.space))
+    rc, out, err = run_cli(capsys, command, given, str(path))
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_simulate_default(capsys):
     rc, payload = run_json(capsys, "simulate")
     assert rc == 0

@@ -8,7 +8,6 @@ from twoslit.space import (
     assemble,
     block_projector,
     detector_flags,
-    detector_projectors,
     lift_left,
     lift_right,
     slit_projector,
@@ -55,20 +54,35 @@ def test_slit_projector_diagonal():
     assert np.array_equal(np.diag(slit_projector(sp)), [1, 1, 1, 0, 0, 0])
 
 
+def test_pairs_table():
+    assert ProductSpace(6, (1,) * 4).pairs == (
+        ("E", "T", (1, 1, 0, 0)),  # T = A1 + A2
+        ("G", "Y", (1, 0, 1, 0)),  # Y = A1 + A3
+    )
+    assert ProductSpace(10, (1,) * 8).pairs == (
+        ("E", "T", (1, 1, 1, 0, 1, 0, 0, 0)),
+        ("G", "Y", (1, 1, 0, 1, 0, 1, 0, 0)),
+        ("L", "W", (1, 0, 1, 1, 0, 0, 1, 0)),
+    )
+    assert ProductSpace(6, (2, 1, 1, 2)).pairs == ProductSpace(6, (1,) * 4).pairs
+    for sp in (ProductSpace(6, (1,) * 4), ProductSpace(10, (1,) * 8)):
+        assert [detector_flags(sp, d) for _, d, _ in sp.pairs] == [f for _, _, f in sp.pairs]
+
+
 def test_detector_diagonals_four_blocks():
     sp = ProductSpace(6, (1, 1, 1, 1))
-    t, y = detector_projectors(sp)
+    t, y = (block_projector(sp, flags) for _, _, flags in sp.pairs)
     assert np.array_equal(np.diag(t), [1, 1, 0, 0])
     assert np.array_equal(np.diag(y), [1, 0, 1, 0])
     sp_wide = ProductSpace(6, (2, 1, 1, 2))
-    t, y = detector_projectors(sp_wide)
+    t, y = (block_projector(sp_wide, flags) for _, _, flags in sp_wide.pairs)
     assert np.array_equal(np.diag(t), [1, 1, 1, 0, 0, 0])
     assert np.array_equal(np.diag(y), [1, 1, 0, 1, 0, 0])
 
 
 def test_detector_diagonals_eight_blocks():
     sp = ProductSpace(10, (1,) * 8)
-    t, y, w = detector_projectors(sp)
+    t, y, w = (block_projector(sp, flags) for _, _, flags in sp.pairs)
     assert np.array_equal(np.diag(t), [1, 1, 1, 0, 1, 0, 0, 0])
     assert np.array_equal(np.diag(y), [1, 1, 0, 1, 0, 1, 0, 0])
     assert np.array_equal(np.diag(w), [1, 0, 1, 1, 0, 0, 1, 0])

@@ -14,9 +14,9 @@ import warnings
 import numpy as np
 import pytest
 
-from twoslit import family3, family4, fixtures, jsonio
+from twoslit import family3, family4, fixtures, jsonio, solver
 from twoslit.errors import ParamRangeError
-from twoslit.space import lift_left, lift_right
+from twoslit.space import block_projector, lift_left, lift_right, slit_projector
 from twoslit.verify import check3, check4, detect_correlations, verify_bundle
 
 RESIDUAL_TOL = 1e-12
@@ -201,3 +201,25 @@ def test_condition_labels_on_both_paths(name):
         report = verify_bundle(probe)
         assert report.method == method
         assert [(e.name, e.kind) for e in report.entries] == _LABELS[name]
+
+
+def _table_bundles():
+    yield from (fixtures.fixture_bundle(name) for name in ("spin32", "dim10"))
+    for family, draw, seed in ((family3, _random_params3, 611), (family4, _random_params4, 612)):
+        rng = np.random.default_rng(seed)
+        yield from (family.build(draw(rng)) for _ in range(5))
+
+
+def test_bundles_solver_and_wire_follow_the_pairs_table():
+    for bundle in _table_bundles():
+        sp = bundle.space
+        props, dets, flags = zip(*sp.pairs)
+        assert [p for p in ("E", "G", "L") if getattr(bundle, p) is not None] == list(props)
+        assert [d for d in ("T", "Y", "W") if getattr(bundle, d) is not None] == list(dets)
+        assert np.array_equal(bundle.E, lift_left(slit_projector(sp), sp))
+        for d, f in zip(dets, flags):
+            assert np.array_equal(getattr(bundle, d), lift_right(block_projector(sp, f), sp))
+        cores = [f"{p}_I" for p in props[1:]]
+        assert [c for c in ("G_I", "L_I") if getattr(bundle, c) is not None] == cores
+        assert list(solver.assemble(slit_projector(sp), bundle.psi, sp).rhs) == list(props[1:])
+        assert list(jsonio.bundle_to_json(bundle)["core"]) == cores
