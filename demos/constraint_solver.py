@@ -30,9 +30,9 @@ for name in ("spin32", "dim10"):
         print(f"  stored closed-form core satisfies the system to "
               f"{cs.residual_of(sol.name, core):.3e}")
 
-        # the affine set contains a continuum of projectors; purifying
-        # random members finds some, and projecting the closed-form core
-        # into the set recovers it exactly
+        # the affine set contains a continuum of projectors; purifying the
+        # free block of random members finds some, and purifying the
+        # closed-form core's own block recovers it exactly
         members = solver.filter_projectors(sol, fx.space, draws=500, seed=1,
                                            candidates=[core])
         dist = min(np.max(np.abs(m - core)) for m in members)

@@ -115,8 +115,8 @@ def cmd_solve(args):
             worst = max(worst, entry["fixture_residual"])
         if not args.no_filter:
             cands = [cores[core_name]] if core_name in cores else []
-            members = solver.filter_projectors(sol, sp, draws=args.draws, box=args.box,
-                                               seed=args.seed, candidates=cands)
+            members = solver.filter_projectors(sol, sp, draws=args.draws, seed=args.seed,
+                                               candidates=cands)
             entry["projectors_found"] = len(members)
             entry["projector_traces"] = [round(float(np.trace(m).real), 9) for m in members]
             if core_name in cores and members:
@@ -192,7 +192,6 @@ def build_parser():
     p.add_argument("--psi", help="state vector JSON file")
     p.add_argument("--space", help="product-space JSON file")
     p.add_argument("--draws", type=int, default=10000, help="random draws for the projector search")
-    p.add_argument("--box", type=float, default=2.0, help="half-width of the search box")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-filter", action="store_true", help="skip the projector search")
     add_out(p)

@@ -5,8 +5,8 @@ consistent (T psi = E psi blockwise), and the block partition, the solver
 assembles the linear system a detector identity imposes on the entries of
 a Hermitian unknown (G_I from Y psi = G psi, and additionally L_I from
 W psi = L psi in 8-block mode), describes its full affine solution set,
-and searches that set for genuine projectors.  It is used as the oracle
-that certifies the closed-form generators.
+and finds its projectors by purifying only each member's free block.  It
+is the oracle that certifies the closed-form generators.
 """
 
 from dataclasses import dataclass
@@ -82,12 +82,6 @@ class AffineSolutionSet:
     def member(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return from_coords(self.particular + self.nullspace.T @ t, self.n)
-
-    def project(self, m):
-        """Closest member (in coordinates) to an arbitrary Hermitian m."""
-        c = coords(as_cmatrix(m))
-        delta = c - self.particular
-        return from_coords(self.particular + self.nullspace.T @ (self.nullspace @ delta), self.n)
 
 
 def _pattern_check(psi, sp, in_e, scale):
@@ -193,45 +187,51 @@ def _purify(m, max_iter=200, stop=1e-13):
 
 # Starting points purified as one stack: bounds memory for any draw count.
 _BATCH = 64
-_PROJECTOR_TOL = 1e-9  # of the projector predicates a survivor must pass
+_BOX = 2.0             # half-width of the centered box of nullspace coordinates drawn
+_PROJECTOR_TOL = 1e-9  # of the projector predicates the fixed part P_A must pass
+
+
+def _free_block(sol: AffineSolutionSet):
+    """``(P_A, V, x0, c)`` of the set P_A + V X V^dagger: V's orthonormal
+    columns span the subspace F every nullspace direction H_k acts on (the
+    range of sum_k H_k^2), P_A is the particular point with its F part cut,
+    and the member at coordinates t has the block x0 + tensordot(t, c, 1)."""
+    h = from_coords(sol.nullspace, sol.n)
+    w, u = np.linalg.eigh((h @ h).sum(axis=0))
+    v = u[:, w > 1e-10 * w[-1]]
+    vh = v.conj().T
+    g0 = from_coords(sol.particular, sol.n)
+    q = np.eye(sol.n) - v @ vh
+    return q @ g0 @ q, v, vh @ g0 @ v, vh @ h @ v
 
 
 def filter_projectors(sol: AffineSolutionSet, sp: ProductSpace,
-                      draws=10000, box=2.0, seed=0, candidates=()):
+                      draws=10000, seed=0, candidates=()):
     """Projector members of an affine solution set.
 
-    Candidate matrices (if given) are projected onto the set and purified
-    first, then ``draws`` random coordinate points from the centered box of
-    half-width ``box`` are purified in order, ``_BATCH`` at a time.
-    Survivors must pass both projector predicates at ``_PROJECTOR_TOL``,
-    still satisfy the linear system, and be distinct from earlier
-    survivors; the result order is deterministic for a fixed seed.
+    Only the blocks X of the set P_A + V X V^dagger (``_free_block``) are
+    purified, as McWeeny maps P_A plus a block to P_A plus the purified
+    block, so every survivor lies in the set.  Candidates (if given) are
+    compressed to F and purified first, then ``draws`` nullspace coordinate
+    points uniform in [-_BOX, _BOX]^nullity, ``_BATCH`` at a time.
+    Survivors are distinct and in a fixed order for a fixed seed; there are
+    none when P_A is not a projector to ``_PROJECTOR_TOL``.
     """
-    found = []
+    p_a, v, x0, c = _free_block(sol)
+    if not (is_hermitian(p_a, _PROJECTOR_TOL) and is_idempotent(p_a, _PROJECTOR_TOL)):
+        return []
+    vh, found = v.conj().T, []
 
-    def consider(m):
-        if m is None:
-            return
-        if not (is_hermitian(m, _PROJECTOR_TOL) and is_idempotent(m, _PROJECTOR_TOL)):
-            return
-        # membership: the purified point must not have left the affine set
-        delta = coords(m) - sol.particular
-        off_set = np.linalg.norm(delta - sol.nullspace.T @ (sol.nullspace @ delta))
-        if off_set > 1e-8:
-            return
-        for prev in found:
-            if np.max(np.abs(prev - m)) <= 1e-8:
-                return
-        found.append(m)
+    def consider(blocks):
+        # a point set (F = 0) has empty blocks, each a projector already
+        ys = _purify(blocks) if blocks.size else blocks
+        for m in (p_a + v @ y @ vh for y in ys if y is not None):
+            if all(np.max(np.abs(prev - m)) > 1e-8 for prev in found):
+                found.append(m)
 
-    for m in _purify(np.array([sol.project(c) for c in candidates])):
-        consider(m)
+    consider(np.array([vh @ as_cmatrix(m) @ v for m in candidates]))
     rng = np.random.default_rng(seed)
     for start in range(0, int(draws), _BATCH):
-        # one draw and one matrix-vector product per point: a batched
-        # ts @ nullspace would run gemm, not gemv, and change the last bits
-        points = [sol.particular + sol.nullspace.T @ rng.uniform(-box, box, size=sol.nullity)
-                  for _ in range(min(_BATCH, int(draws) - start))]
-        for m in _purify(from_coords(np.array(points), sol.n)):
-            consider(m)
+        t = rng.uniform(-_BOX, _BOX, size=(min(_BATCH, int(draws) - start), sol.nullity))
+        consider(x0 + np.tensordot(t, c, 1))
     return found

@@ -8,6 +8,7 @@ import pytest
 
 from twoslit import cli, family3, family4, fixtures, jsonio
 from twoslit.cli import main
+from twoslit.space import ProductSpace
 from twoslit.verify import verify_bundle
 
 
@@ -157,6 +158,18 @@ def test_solve_from_state_files(capsys, tmp_path):
     assert payload["targets"][0]["residual"] < 1e-10
 
 
+def test_solve_on_a_single_point_set(capsys, tmp_path):
+    sp = ProductSpace(2, (1, 1, 1, 1))
+    psi_path, space_path = tmp_path / "psi.json", tmp_path / "space.json"
+    jsonio.write_json(psi_path, jsonio.vector_to_json(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / 2 ** 0.5))
+    jsonio.write_json(space_path, jsonio.space_to_json(sp))
+    rc, payload = run_json(capsys, "solve", "--psi", str(psi_path), "--space", str(space_path))
+    assert rc == 0
+    (target,) = payload["targets"]
+    assert target["nullity"] == 0 and target["residual"] == 0.0
+    assert target["projectors_found"] == 1 and target["projector_traces"] == [1.0]
+
+
 def _write_indented(path, obj):
     path.write_text(json.dumps(obj, indent=1))
 
@@ -234,6 +247,7 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys)[0] == 2
     assert run_cli(capsys, "verify")[0] == 2  # --bundle is required
+    assert run_cli(capsys, "solve", "--fixture", "spin32", "--box", "1")[0] == 2
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

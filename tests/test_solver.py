@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twoslit import fixtures, solver
+from test_family3 import _random_params as random_family3
+from test_family4 import _random_params as random_family4
+from twoslit import family3, family4, fixtures, solver
 from twoslit.errors import StateShapeError
 from twoslit.linalg import is_hermitian, is_idempotent
 from twoslit.space import ProductSpace, detector_flags, slit_projector
@@ -115,12 +117,6 @@ def test_members_satisfy_system(sys3):
         m = sol.member(rng.uniform(-2, 2, sol.nullity))
         assert is_hermitian(m, 1e-12)
         assert cs.residual_of("G", m) < 1e-10
-
-
-def test_projection_fixes_members(sys3):
-    fx, cs, (sol,) = sys3
-    proj = sol.project(fx.cores["G_I"])
-    assert np.max(np.abs(proj - fx.cores["G_I"])) < 1e-12
 
 
 def test_filter_recovers_stored_core_from_candidate(sys3):
@@ -304,8 +300,10 @@ def _loop_filter(sol, tol=1e-9, draws=10000, box=2.0, seed=0, candidates=()):
         if all(np.max(np.abs(prev - m)) > 1e-8 for prev in found):
             found.append(m)
 
-    for cand in candidates:
-        consider(sol.project(cand))
+    for cand in candidates:  # the closest member in coordinates
+        delta = solver.coords(cand) - sol.particular
+        consider(solver.from_coords(sol.particular + sol.nullspace.T @ (sol.nullspace @ delta),
+                                    sol.n))
     rng = np.random.default_rng(seed)
     for _ in range(draws):
         consider(sol.member(rng.uniform(-box, box, size=sol.nullity)))
@@ -368,12 +366,70 @@ def test_stacked_purification_retires_by_each_test():
     assert solver._purify(slow, max_iter=k)[0].tobytes() == _loop_purify(slow[0], k).tobytes()
 
 
+def _state(name):
+    """(space, psi, cores by target) of a fixture or of a seeded family point."""
+    if name == "family3":
+        p = random_family3(np.random.default_rng(3))
+        return p.space(), family3.state(p), {"G": family3.core_projector(p)[0]}
+    if name == "family4":
+        p = random_family4(np.random.default_rng(4))
+        g, el, co = family4.core_projectors(p)
+        return p.space(), family4.state(p, co), {"G": g, "L": el}
+    fx = fixtures.fixture(name)
+    return fx.space, fx.psi, {n[0]: c for n, c in fx.cores.items()}
+
+
+def _sets(name):
+    sp, psi, cores = _state(name)
+    return sp, [(sol, cores[sol.name]) for sol in
+                solver.solve(solver.assemble(slit_projector(sp), psi, sp))]
+
+
+@pytest.mark.parametrize("name", ["spin32", "dim10", "family3", "family4"])
+def test_free_block_splits_the_solution_set(name):
+    sp, sets = _sets(name)
+    rng = np.random.default_rng(9)
+    for sol, core in sets:
+        p_a, v, x0, c = solver._free_block(sol)
+        f = v.shape[1]
+        assert f == (2 if sp.mode == 3 else 4) and sol.nullity == f * f
+        vh = v.conj().T
+        assert np.max(np.abs(vh @ v - np.eye(f))) < 1e-12
+        assert is_hermitian(p_a, 1e-12) and is_idempotent(p_a, 1e-12)
+        assert np.max(np.abs(p_a @ v)) < 1e-12
+        h = solver.from_coords(sol.nullspace, sol.n)
+        assert np.max(np.abs(v @ (vh @ h @ v) @ vh - h)) < 1e-12
+        assert c.shape == (sol.nullity, f, f)
+        for t in rng.uniform(-2, 2, size=(3, sol.nullity)):
+            assert np.max(np.abs(x0 + np.tensordot(t, c, 1) - vh @ sol.member(t) @ v)) < 1e-12
+        assert np.max(np.abs(p_a + v @ (vh @ core @ v) @ vh - core)) < 1e-12
+
+
 @pytest.mark.parametrize("with_core", [False, True], ids=["blind", "candidate"])
-def test_batched_filter_matches_one_at_a_time_across_batch_edges(sys3, with_core):
-    fx, _, (sol,) = sys3
-    cands = [fx.cores["G_I"]] if with_core else []
+def test_batched_filter_matches_one_at_a_time_across_batch_edges(with_core):
     b = solver._BATCH
-    for draws in (0, 1, b - 1, b, b + 1, 800):
-        got = solver.filter_projectors(sol, fx.space, draws=draws, seed=1, candidates=cands)
-        want = _loop_filter(sol, draws=draws, seed=1, candidates=cands)
-        assert [m.tobytes() for m in got] == [m.tobytes() for m in want], draws
+    for name in ("spin32", "dim10", "family3"):
+        sp, sets = _sets(name)
+        for sol, core in sets:
+            cands = [core] if with_core else []
+            for draws in (0, 1, b - 1, b, b + 1, 800):
+                got = solver.filter_projectors(sol, sp, draws=draws, seed=1, candidates=cands)
+                want = _loop_filter(sol, draws=draws, seed=1, candidates=cands)
+                assert len(got) == len(want), (name, sol.name, draws)
+                for g, w in zip(got, want):
+                    assert np.max(np.abs(g - w)) <= 1e-12, (name, sol.name, draws)
+
+
+@pytest.mark.parametrize("psi, want", [
+    (np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2), [np.diag([1.0, 0.0])]),
+    (np.array([0.5, 0.5, 0, 0, 0, 0, 0.5, 0.5]), []),
+], ids=["single-point", "inconsistent"])
+def test_filter_on_a_single_point_set(psi, want):
+    sp = ProductSpace(2, (1, 1, 1, 1))
+    (sol,) = solver.solve(solver.assemble(slit_projector(sp), psi, sp))
+    assert sol.nullity == 0
+    for draws in (1, 100):
+        for found in (solver.filter_projectors(sol, sp, draws=draws),
+                      _loop_filter(sol, draws=draws)):
+            assert [m.tolist() for m in found] == [m.tolist() for m in want]
+    assert solver.filter_projectors(sol, sp, draws=0) == []
