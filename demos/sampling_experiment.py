@@ -2,8 +2,9 @@
 
 One run samples i.i.d. joint outcomes (slit bit, detector block) from the
 exact distribution of the commuting observable pair.  The stream is a
-counter-based generator, so a run is reproducible for a fixed seed and
-can be sharded without changing the merged tally.
+seeded PCG64DXSM generator that each shard advances to its first sample,
+so a run is reproducible for a fixed seed and can be sharded without
+changing the merged tally.
 
 Run:  python3 demos/sampling_experiment.py
 """

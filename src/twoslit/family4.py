@@ -236,7 +236,18 @@ def core_projectors(params: Family4Params):
     zb = co.z * np.outer(left, right)
     g_core = np.block([[pb, ub], [ub.conj().T, qb]])
     l_core = np.block([[mb, zb], [zb.conj().T, nb]])
-    return g_core, l_core, co
+    return _polish(g_core), _polish(l_core), co
+
+
+def _polish(m):
+    """One McWeeny step m <- 3m^2 - 2m^3 between Hermitian parts: the closed
+    forms cancel large terms at extreme coefficients and can leave 1e-11
+    of idempotence error, which one step squares away.  The closed form's
+    exact zeros are kept: the step would fill them with roundoff."""
+    h = (m + m.conj().T) / 2
+    h2 = h @ h
+    h = 3 * h2 - 2 * h2 @ h
+    return np.where(m == 0, 0, (h + h.conj().T) / 2)
 
 
 def _ladder(c2, c3, d4, d5, e4, e5, f3, f, g2, g):

@@ -5,16 +5,18 @@ block observable 1 (x) sum_i i * A_i; a single run samples i.i.d. joint
 outcomes (slit bit e, block index i) from the exact Born table
 p(e, i) = ||(E^e (x) A_i) psi||^2.
 
-Reproducibility contract: the random stream is numpy's counter-based
-Philox generator keyed by the 64-bit seed; samples are drawn by inverse
-CDF over the exact table flattened in C order with the slit bit as the
-leading axis: a uniform u falls in the first cell i with u < cum[i], so a
-u equal to a boundary goes to the cell above it (searchsorted, right
-side).  Sharded runs consume the same stream split at sample indices
-that are multiples of 4 (one Philox counter tick yields four doubles), so
-the merged tally is bit-identical for any shard count.  Each shard draws
-its uniforms in fixed-size chunks that continue one stream, so memory
-stays bounded as samples grow.
+Reproducibility contract: the random stream is numpy's PCG64DXSM
+generator seeded with the non-negative integer seed, one double per
+64-bit draw.  Samples are drawn by inverse CDF over the exact table
+flattened in C order with the slit bit as the leading axis: a uniform u
+falls in the first cell i with u < cum[i], so a u equal to a boundary
+goes to the cell above it (searchsorted, right side).  Sharded runs split
+the same stream at any sample index (each shard jumps ahead with
+``advance``, one step per draw), so the merged tally is bit-identical for
+any shard count.  Each shard draws its uniforms in fixed-size chunks that
+continue one stream, so memory stays bounded as samples grow, and each
+chunk is compared once per distinct cumulative bound strictly inside
+(0, 1).
 """
 
 from dataclasses import dataclass
@@ -110,15 +112,11 @@ def _cumulative(table):
 
 def _uniforms(samples, seed, shards):
     """The run's uniforms, shard by shard, in chunks of at most ``_CHUNK``."""
-    # per_shard is a multiple of 4 so every shard starts on a Philox tick
-    per_shard = 4 * ((samples + 4 * shards - 1) // (4 * shards))
-    for s in range(shards):
-        start = s * per_shard
+    per_shard = -(-samples // shards)
+    for start in range(0, samples, per_shard):
         todo = min(per_shard, samples - start)
-        if todo <= 0:
-            break
-        bg = np.random.Philox(seed)
-        bg.advance(start // 4)
+        bg = np.random.PCG64DXSM(seed)
+        bg.advance(start)  # one step is one 64-bit draw, which is one double
         gen = np.random.Generator(bg)
         # each call continues the stream, so chunking never changes the draws
         for done in range(0, todo, _CHUNK):
@@ -127,14 +125,24 @@ def _uniforms(samples, seed, shards):
 
 def _tally(cum, chunks):
     """Draws per cell of the uniforms in ``chunks``: cell i takes the u with
-    cum[i-1] <= u < cum[i], as ``searchsorted(cum, u, side="right")`` would."""
-    # below[i] counts the draws u < cum[i]; the last bound, 1.0, takes them all
-    below = np.zeros(cum.shape[0] - 1, dtype=np.int64)
+    cum[i-1] <= u < cum[i], as ``searchsorted(cum, u, side="right")`` would.
+
+    Each chunk is compared once per distinct bound strictly inside (0, 1):
+    the uniforms lie in [0, 1), so a bound >= 1 (the last one, and any
+    before trailing zero cells) takes every draw and a bound <= 0 none.
+    """
+    bounds = cum[:-1]
+    inside = (bounds > 0) & (bounds < 1)
+    inner, slot = np.unique(bounds[inside], return_inverse=True)
+    below_inner = np.zeros(inner.shape[0], dtype=np.int64)
     total = 0
     for u in chunks:
-        for i, bound in enumerate(cum[:-1]):
-            below[i] += np.count_nonzero(u < bound)
+        for k, bound in enumerate(inner):
+            below_inner[k] += np.count_nonzero(u < bound)
         total += u.shape[0]
+    # below[i] counts the draws u < cum[i]
+    below = np.where(bounds >= 1, total, 0)
+    below[inside] = below_inner[slot]
     return np.diff(below, prepend=0, append=total)
 
 

@@ -185,8 +185,9 @@ def _purify(m, max_iter=200, stop=1e-13):
     return out
 
 
-# Starting points purified as one stack: bounds memory for any draw count.
-_BATCH = 64
+# Matrix entries purified as one stack: bounds memory for any draw count
+# (1024 free blocks at f = 4, 4096 at f = 2).
+_STACK_ENTRIES = 1 << 14
 _BOX = 2.0             # half-width of the centered box of nullspace coordinates drawn
 _PROJECTOR_TOL = 1e-9  # of the projector predicates the fixed part P_A must pass
 
@@ -205,6 +206,11 @@ def _free_block(sol: AffineSolutionSet):
     return q @ g0 @ q, v, vh @ g0 @ v, vh @ h @ v
 
 
+def _stack_size(f):
+    """Free blocks of size f x f purified as one stack."""
+    return max(1, _STACK_ENTRIES // max(1, f * f))
+
+
 def filter_projectors(sol: AffineSolutionSet, sp: ProductSpace,
                       draws=10000, seed=0, candidates=()):
     """Projector members of an affine solution set.
@@ -213,7 +219,8 @@ def filter_projectors(sol: AffineSolutionSet, sp: ProductSpace,
     purified, as McWeeny maps P_A plus a block to P_A plus the purified
     block, so every survivor lies in the set.  Candidates (if given) are
     compressed to F and purified first, then ``draws`` nullspace coordinate
-    points uniform in [-_BOX, _BOX]^nullity, ``_BATCH`` at a time.
+    points uniform in [-_BOX, _BOX]^nullity, in stacks of
+    ``_stack_size(f)`` blocks.
     Survivors are distinct and in a fixed order for a fixed seed; there are
     none when P_A is not a projector to ``_PROJECTOR_TOL``.
     """
@@ -231,7 +238,8 @@ def filter_projectors(sol: AffineSolutionSet, sp: ProductSpace,
 
     consider(np.array([vh @ as_cmatrix(m) @ v for m in candidates]))
     rng = np.random.default_rng(seed)
-    for start in range(0, int(draws), _BATCH):
-        t = rng.uniform(-_BOX, _BOX, size=(min(_BATCH, int(draws) - start), sol.nullity))
+    stack = _stack_size(v.shape[1])
+    for start in range(0, int(draws), stack):
+        t = rng.uniform(-_BOX, _BOX, size=(min(stack, int(draws) - start), sol.nullity))
         consider(x0 + np.tensordot(t, c, 1))
     return found

@@ -11,6 +11,8 @@ from twoslit.cli import main
 from twoslit.space import ProductSpace
 from twoslit.verify import verify_bundle
 
+from test_simulate import GOLDEN
+
 
 def run_cli(capsys, *argv):
     rc = main(list(argv))
@@ -218,6 +220,7 @@ def test_simulate_default(capsys):
     rc, payload = run_json(capsys, "simulate")
     assert rc == 0
     assert payload["samples"] == 100000
+    assert payload["counts"] == GOLDEN["spin32"]  # the defaults: spin32, seed 42
     assert abs(payload["p_T"] - 0.5) < 0.01
     assert payload["p_slit_given_T"] == 1.0
     rc2, payload2 = run_json(capsys, "simulate")

@@ -48,20 +48,51 @@ def test_run_is_deterministic(ref3):
 def test_sharding_never_changes_the_tally(ref3):
     spec = simulate.ExperimentSpec(ref3.psi, ref3.space, samples=10001, seed=3)
     base = simulate.run(spec, shards=1).counts
-    for shards in (2, 3, 5, 8):
-        assert np.array_equal(simulate.run(spec, shards=shards).counts, base)
+    # 73 divides 10001; the others split it at uneven sample indices, 10007 into single draws
+    for shards in (2, 3, 5, 7, 8, 73, 9999, 10001, 10007):
+        assert np.array_equal(simulate.run(spec, shards=shards).counts, base), shards
+
+
+def _stream_counts(table, samples, seed):
+    """Counts of one unchunked PCG64DXSM stream, placed by a right-side binary search."""
+    cum = np.cumsum(table.reshape(-1) / table.sum())
+    cum[-1] = 1.0
+    u = np.random.Generator(np.random.PCG64DXSM(seed)).random(samples)
+    return np.bincount(np.searchsorted(cum, u, side="right"),
+                       minlength=cum.size).reshape(table.shape)
 
 
 def test_chunked_draws_match_one_unchunked_stream(ref3):
     samples = 3 * simulate._CHUNK + 5
-    table = simulate.exact_joint(ref3.psi, ref3.space)
-    cum = np.cumsum(table.reshape(-1) / table.sum())
-    cum[-1] = 1.0
-    u = np.random.Generator(np.random.Philox(23)).random(samples)
-    expected = np.bincount(np.searchsorted(cum, u, side="right"), minlength=cum.size)
+    expected = _stream_counts(simulate.exact_joint(ref3.psi, ref3.space), samples, 23)
     spec = simulate.ExperimentSpec(ref3.psi, ref3.space, samples=samples, seed=23)
-    for shards in (1, 3):
-        assert np.array_equal(simulate.run(spec, shards=shards).counts, expected.reshape(2, 4))
+    for shards in (1, 3, 4, 7):
+        assert np.array_equal(simulate.run(spec, shards=shards).counts, expected)
+
+
+def test_more_shards_than_samples(ref3):
+    expected = _stream_counts(simulate.exact_joint(ref3.psi, ref3.space), 3, 5)
+    spec = simulate.ExperimentSpec(ref3.psi, ref3.space, samples=3, seed=5)
+    for shards in (1, 2, 3, 4, 8):
+        assert np.array_equal(simulate.run(spec, shards=shards).counts, expected), shards
+
+
+# Literal tallies at 100 000 samples and seed 42 (the simulate defaults on
+# spin32): a change of the random stream or of the cell placement fails here.
+GOLDEN = {
+    "spin32": [[0, 0, 22286, 27620], [22530, 27564, 0, 0]],
+    "dim10": [[0, 0, 0, 8246, 0, 0, 6459, 35201], [8278, 0, 6454, 0, 35362, 0, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_counts(name):
+    fx = fixtures.fixture(name)
+    spec = simulate.ExperimentSpec(fx.psi, fx.space, samples=100000, seed=42)
+    for shards in (1, 3, 4):
+        assert simulate.run(spec, shards=shards).counts.tolist() == GOLDEN[name], shards
+    assert np.array_equal(_stream_counts(simulate.exact_joint(fx.psi, fx.space), 100000, 42),
+                          GOLDEN[name])
 
 
 def _searchsorted_counts(cum, u):
@@ -73,7 +104,13 @@ def _searchsorted_counts(cum, u):
     [0.0, 0.0, 2 / 9, 5 / 18, 2 / 9, 5 / 18, 0.0, 0.0],   # zero cells at both ends
     [0.0, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0],
     [0.1, 0.0, 0.2, 0.0, 0.3, 0.0, 0.4, 0.0] + [0.0] * 8,  # 16 cells
-], ids=["uniform", "spin32", "two-cells", "sixteen"])
+    [0.0, 0.0, 1.0, 0.0, 0.0],                          # one nonzero cell: no inner bound
+    [0.3, 0.7, 0.0, 0.0],                               # bounds of 1.0 before the last
+    [0.0, 0.0, 0.3, 0.7],                               # bounds of 0
+    [0.25, 0.0, 0.0, 0.75],                             # 0.25 three times
+    [0.5, 2.0 ** -53, 0.5 - 2.0 ** -53],                # 0.5 and the next double
+], ids=["uniform", "spin32", "two-cells", "sixteen", "one-cell", "trailing-zeros",
+        "leading-zeros", "repeated-bound", "one-ulp-apart"])
 def test_count_kernel_matches_searchsorted_at_cdf_boundaries(probs):
     cum = simulate._cumulative(np.array(probs))
     # every boundary, its neighbours one ulp away, both ends of [0, 1) and fill-ins

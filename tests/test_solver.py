@@ -286,9 +286,15 @@ def _loop_purify(m, max_iter=200, stop=1e-13):
     return None
 
 
-def _loop_filter(sol, tol=1e-9, draws=10000, box=2.0, seed=0, candidates=()):
-    """filter_projectors one starting point at a time, on _loop_purify."""
+def _loop_filter(sol, tol=1e-9, draws=10000, box=2.0, seed=0, candidates=(), sizes=None):
+    """filter_projectors one starting point at a time, on _loop_purify.
+
+    A list passed as ``sizes`` receives the survivor count after the
+    candidates and after each draw: the search with k draws returns the
+    first ``sizes[k]`` survivors.
+    """
     found = []
+    sizes = [] if sizes is None else sizes
 
     def consider(m):
         m = _loop_purify(m)
@@ -304,9 +310,11 @@ def _loop_filter(sol, tol=1e-9, draws=10000, box=2.0, seed=0, candidates=()):
         delta = solver.coords(cand) - sol.particular
         consider(solver.from_coords(sol.particular + sol.nullspace.T @ (sol.nullspace @ delta),
                                     sol.n))
+    sizes.append(len(found))
     rng = np.random.default_rng(seed)
     for _ in range(draws):
         consider(sol.member(rng.uniform(-box, box, size=sol.nullity)))
+        sizes.append(len(found))
     return found
 
 
@@ -407,14 +415,16 @@ def test_free_block_splits_the_solution_set(name):
 
 @pytest.mark.parametrize("with_core", [False, True], ids=["blind", "candidate"])
 def test_batched_filter_matches_one_at_a_time_across_batch_edges(with_core):
-    b = solver._BATCH
     for name in ("spin32", "dim10", "family3"):
         sp, sets = _sets(name)
         for sol, core in sets:
             cands = [core] if with_core else []
-            for draws in (0, 1, b - 1, b, b + 1, 800):
+            b = solver._stack_size(solver._free_block(sol)[1].shape[1])
+            sizes = []
+            every = _loop_filter(sol, draws=b + 1, seed=1, candidates=cands, sizes=sizes)
+            for draws in (0, 1, 800, b - 1, b, b + 1):
                 got = solver.filter_projectors(sol, sp, draws=draws, seed=1, candidates=cands)
-                want = _loop_filter(sol, draws=draws, seed=1, candidates=cands)
+                want = every[:sizes[draws]]
                 assert len(got) == len(want), (name, sol.name, draws)
                 for g, w in zip(got, want):
                     assert np.max(np.abs(g - w)) <= 1e-12, (name, sol.name, draws)
