@@ -19,7 +19,7 @@ import numpy as np
 
 from . import family3, family4, jsonio, solver
 from .errors import TwoSlitError
-from .fixtures import fixture, fixture_bundle, fixture_names
+from .fixtures import fixture, fixture_names
 from .simulate import ExperimentSpec, run as run_experiment
 from .space import slit_projector
 from .verify import verify_bundle

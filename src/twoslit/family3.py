@@ -51,6 +51,15 @@ def check_seeds(params):
             raise SeedError(f"{name} must be nonzero")
 
 
+def _join_core(pb, qb, w, x2, x3, y2, y3):
+    """The core [[P, U], [U^dagger, Q]] of either family: U = w * outer(l, r) with
+    l = (1, -conj(x2), -conj(x3), 0, ...) and r = (1, -y2, -y3, 0, ...)."""
+    pad = [0.0] * (len(pb) - 3)
+    left = np.array([1.0, -np.conj(x2), -np.conj(x3), *pad])
+    ub = w * np.outer(left, np.array([1.0, -y2, -y3, *pad]))
+    return np.block([[pb, ub], [ub.conj().T, qb]])
+
+
 @dataclass
 class Family3Params:
     p: float
@@ -147,15 +156,11 @@ def _corner_block(t, c2, c3, k):
 
 def core_projector(params: Family3Params):
     """G_I as a 6x6 complex matrix (Hermitian idempotent for valid params)."""
-    params.validate()
-    u = derive_u(params)
+    u = derive_u(params)  # validates params first
     q = derive_q(params)
     pb = _corner_block(params.p, params.mu2, params.mu3, params.k_mu)
     qb = _corner_block(q, params.lambda2, params.lambda3, params.k_lambda)
-    left = np.array([1.0, -np.conj(params.mu2), -np.conj(params.mu3)])
-    right = np.array([1.0, -params.lambda2, -params.lambda3])
-    ub = u * np.outer(left, right)
-    return np.block([[pb, ub], [ub.conj().T, qb]]), u, q
+    return _join_core(pb, qb, u, params.mu2, params.mu3, params.lambda2, params.lambda3), u, q
 
 
 def state(params: Family3Params):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParamRangeError, ZeroDivisorError
-from .family3 import check_seeds, coerce_fields, unit_seed
+from .family3 import _join_core, check_seeds, coerce_fields, unit_seed
 from .space import ProductSpace, SolutionBundle, assemble
 
 
@@ -134,69 +134,43 @@ def derive_coefficients(params: Family4Params) -> Family4Coefficients:
     s_al, lambda4, gamma, delta, lam2, lam3, sig2, sig3 = _side(
         pr.alpha2, pr.alpha3, pr.beta4, pr.beta5, pr.lambda5)
 
-    plo, phi = a2f / s_a, (a2f + 1) / s_a
-    if not (plo < pr.p < phi):
-        raise ParamRangeError(f"p={pr.p} outside open interval ({plo}, {phi})")
-    mlo, mhi = (a2f + b3f) / s_a, (a2f + b3f + 1) / s_a
-    if not (mlo < pr.m < mhi):
-        raise ParamRangeError(f"m={pr.m} outside open interval ({mlo}, {mhi})")
-
-    dp = pr.p - 1 / big_c
-    rad_u = (dp * (1 - 2 * a3f) - dp * dp * s_a
-             + a3f * (abs(pr.b4) ** 2 + abs(pr.b5) ** 2) / big_c) / s_al
-    if rad_u <= 0:
-        raise ParamRangeError(f"u radicand {rad_u} not positive at p={pr.p}")
-    dm = pr.m - 1 / big_c
-    rad_z = (dm * (1 - 2 * (a3f - b3f)) - dm * dm * s_a
-             - ((b3f - a3f) ** 2 + (b3f - a3f)) / s_a) / s_al
-    if rad_z <= 0:
-        raise ParamRangeError(f"z radicand {rad_z} not positive at m={pr.m}")
-
-    return Family4Coefficients(
+    co = Family4Coefficients(
         s_a=s_a, s_alpha=s_al, l4=l4, lambda4=lambda4,
         C=big_c, Gamma=gamma, D=big_d, Delta=delta,
         A2=a2f, A3=a3f, A=a2f + a3f, B2=b2f, B3=b3f, B=b2f + b3f,
         Lambda2=lam2, Lambda3=lam3, Lambda=lam2 + lam3,
         Sigma2=sig2, Sigma3=sig3, Sigma=sig2 + sig3,
-        u=np.exp(1j * pr.theta1) * np.sqrt(rad_u),
-        z=np.exp(1j * pr.theta2) * np.sqrt(rad_z),
+        u=None, z=None,  # set below, once p and m are admitted
         q=(1 + lam2 + a2f - pr.p * s_a) / s_al,
         n=(1 + a2f + b3f + lam2 + sig3 - pr.m * s_a) / s_al,
     )
+    for name, t, (lo, hi) in (("p", pr.p, co.p_interval), ("m", pr.m, co.m_interval)):
+        if not (lo < t < hi):
+            raise ParamRangeError(f"{name}={t} outside open interval ({lo}, {hi})")
+
+    dp = pr.p - 1 / big_c
+    rad_u = (dp * (1 - 2 * a3f) - dp * dp * s_a
+             + a3f * (abs(pr.b4) ** 2 + abs(pr.b5) ** 2) / big_c) / s_al
+    dm = pr.m - 1 / big_c
+    rad_z = (dm * (1 - 2 * (a3f - b3f)) - dm * dm * s_a
+             - ((b3f - a3f) ** 2 + (b3f - a3f)) / s_a) / s_al
+    for name, rad, anchor, t in (("u", rad_u, "p", pr.p), ("z", rad_z, "m", pr.m)):
+        if rad <= 0:
+            raise ParamRangeError(f"{name} radicand {rad} not positive at {anchor}={t}")
+    co.u = np.exp(1j * pr.theta1) * np.sqrt(rad_u)
+    co.z = np.exp(1j * pr.theta2) * np.sqrt(rad_z)
+    return co
 
 
-def _single_block(t, c2, c3, d4, d5, norm, f3, f):
-    """5x5 diagonal block whose last three columns are linear in the first two.
-
-    Used for P (t=p, x-side letters) and Q (t=q, y-side letters); ``norm``
-    is the corresponding normalization constant (C or Gamma), ``f3``/``f``
-    the block fractions (A3, A) or (Lambda3, Lambda).
-    """
-    c = np.conj
-    out = np.empty((5, 5), dtype=complex)
-    out[0] = [t, -c2 * (t - 1 / norm), -c3 * t, -d4 * c2 / norm, -d5 * c2 / norm]
-    out[1, 1] = f3 + abs(c2) ** 2 * (t - 1 / norm)
-    out[1, 2] = c3 * c(c2) * (t - 1 / norm)
-    out[1, 3] = -d4 * f3
-    out[1, 4] = -d5 * f3
-    out[2, 2] = abs(c3) ** 2 * t
-    out[2, 3] = c(c3) * d4 * c2 / norm
-    out[2, 4] = c(c3) * d5 * c2 / norm
-    out[3, 3] = abs(d4) ** 2 * f
-    out[3, 4] = c(d4) * d5 * f
-    out[4, 4] = abs(d5) ** 2 * f
-    for i in range(5):
-        for j in range(i):
-            out[i, j] = c(out[j, i])
-    return out
-
-
-def _double_block(t, c2, c3, d4, d5, e4, e5, norm1, norm2, f3, f, g2, g):
+def _double_block(t, c2, c3, d4, d5, norm1, f3, f, e4=0, e5=0, norm2=np.inf, g2=0, g=0):
     """5x5 diagonal block mixing two coefficient ladders (d and e).
 
     Used for M (x-side, e = l-coefficients) and N (y-side, e =
-    lambda-coefficients); ``norm1``/``norm2`` are (C, D) or (Gamma, Delta)
-    and (g2, g) the second ladder's fractions (B2, B) or (Sigma2, Sigma).
+    lambda-coefficients); ``norm1``/``norm2`` are (C, D) or (Gamma, Delta),
+    (f3, f) the first ladder's fractions (A3, A) or (Lambda3, Lambda) and
+    (g2, g) the second's (B2, B) or (Sigma2, Sigma).  P (t=p, x side) and
+    Q (t=q, y side) are its one-ladder case: with the defaults every
+    second-ladder term is exactly zero.
     """
     c = np.conj
     out = np.empty((5, 5), dtype=complex)
@@ -222,20 +196,14 @@ def core_projectors(params: Family4Params):
     """(G_I, L_I) as 10x10 complex matrices, plus the derived coefficients."""
     co = derive_coefficients(params)
     pr = params
-    pb = _single_block(pr.p, pr.a2, pr.a3, pr.b4, pr.b5, co.C, co.A3, co.A)
-    qb = _single_block(co.q, pr.alpha2, pr.alpha3, pr.beta4, pr.beta5,
-                       co.Gamma, co.Lambda3, co.Lambda)
-    mb = _double_block(pr.m, pr.a2, pr.a3, pr.b4, pr.b5, co.l4, pr.l5,
-                       co.C, co.D, co.A3, co.A, co.B2, co.B)
-    nb = _double_block(co.n, pr.alpha2, pr.alpha3, pr.beta4, pr.beta5,
-                       co.lambda4, pr.lambda5, co.Gamma, co.Delta,
-                       co.Lambda3, co.Lambda, co.Sigma2, co.Sigma)
-    left = np.array([1.0, -np.conj(pr.a2), -np.conj(pr.a3), 0.0, 0.0])
-    right = np.array([1.0, -pr.alpha2, -pr.alpha3, 0.0, 0.0])
-    ub = co.u * np.outer(left, right)
-    zb = co.z * np.outer(left, right)
-    g_core = np.block([[pb, ub], [ub.conj().T, qb]])
-    l_core = np.block([[mb, zb], [zb.conj().T, nb]])
+    # each side's letters and first ladder: all of P or Q, the first part of M or N
+    x = (pr.a2, pr.a3, pr.b4, pr.b5, co.C, co.A3, co.A)
+    y = (pr.alpha2, pr.alpha3, pr.beta4, pr.beta5, co.Gamma, co.Lambda3, co.Lambda)
+    pb, qb = _double_block(pr.p, *x), _double_block(co.q, *y)
+    mb = _double_block(pr.m, *x, co.l4, pr.l5, co.D, co.B2, co.B)
+    nb = _double_block(co.n, *y, co.lambda4, pr.lambda5, co.Delta, co.Sigma2, co.Sigma)
+    g_core = _join_core(pb, qb, co.u, pr.a2, pr.a3, pr.alpha2, pr.alpha3)
+    l_core = _join_core(mb, nb, co.z, pr.a2, pr.a3, pr.alpha2, pr.alpha3)
     return _polish(g_core), _polish(l_core), co
 
 
@@ -268,22 +236,17 @@ def _ladder(c2, c3, d4, d5, e4, e5, f3, f, g2, g):
             np.array([c2 * d5 + c3 * e5, d5, e5, 0.0, 1.0]))
 
 
-def _dependence_ladders(params: Family4Params, co: Family4Coefficients):
-    """Per-row multipliers of the seed vectors, (gx, hx, sx, tx, gy, hy, sy, ty);
-    :func:`state` shows which seed and block each one scales."""
-    pr = params
-    return (_ladder(pr.a2, pr.a3, pr.b4, pr.b5, co.l4, pr.l5, co.A3, co.A, co.B2, co.B)
-            + _ladder(pr.alpha2, pr.alpha3, pr.beta4, pr.beta5, co.lambda4, pr.lambda5,
-                      co.Lambda3, co.Lambda, co.Sigma2, co.Sigma))
-
-
 def state(params: Family4Params, co: Family4Coefficients = None):
     """The entangled unit vector on the product space."""
     if co is None:
         co = derive_coefficients(params)
     params.validate()
     sp = params.space()
-    gx, hx, sx, tx, gy, hy, sy, ty = _dependence_ladders(params, co)
+    pr = params
+    # per-row multipliers of the seed vectors, one ladder per side
+    gx, hx, sx, tx = _ladder(pr.a2, pr.a3, pr.b4, pr.b5, co.l4, pr.l5, co.A3, co.A, co.B2, co.B)
+    gy, hy, sy, ty = _ladder(pr.alpha2, pr.alpha3, pr.beta4, pr.beta5, co.lambda4, pr.lambda5,
+                             co.Lambda3, co.Lambda, co.Sigma2, co.Sigma)
     # the x side fills blocks 1, 3, 5 of rows 1-5, the y side blocks 4, 7, 8 of rows 6-10
     block = [np.zeros((10, b), dtype=complex) for b in sp.partition]
     block[0][:5] = np.outer(gx, params.seed_a5)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, StateShapeError, ZeroDivisorError
 from .linalg import as_cvector
-from .space import ProductSpace, block_weights, detector_flags
+from .space import ProductSpace, as_int, block_weights, detector_flags
 
 # Uniforms drawn per call while sampling: bounds memory for any sample count.
 _CHUNK = 1 << 16
@@ -149,11 +149,14 @@ def _tally(cum, chunks):
 def run(spec: ExperimentSpec, shards=1) -> OutcomeTally:
     """Sample the joint outcomes; deterministic given (psi, samples, seed).
 
-    ``shards`` only affects how the stream is consumed, never the merged
-    tally; cells with exact probability 0 can never be drawn.
+    ``shards`` (at least 1) only affects how the stream is consumed, never
+    the merged tally; cells with exact probability 0 can never be drawn.
     """
+    shards = as_int(shards, "shards")
+    if shards < 1:
+        raise DimensionError(f"shards must be at least 1, got {shards}")
     table = exact_joint(spec.psi, spec.space)
-    chunks = _uniforms(spec.samples, spec.seed, max(1, int(shards)))
+    chunks = _uniforms(spec.samples, spec.seed, shards)
     counts = _tally(_cumulative(table), chunks).reshape(table.shape)
     empirical = counts / spec.samples
     stderr = np.sqrt(table * (1 - table) / spec.samples)

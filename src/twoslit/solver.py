@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StateShapeError
+from .errors import DimensionError, StateShapeError
 from .linalg import as_cmatrix, as_cvector, is_hermitian, is_idempotent
-from .space import ProductSpace, block_weights, detector_flags
+from .space import ProductSpace, as_int, block_weights, detector_flags
 
 
 def from_coords(c, n):
@@ -141,18 +141,19 @@ def assemble(E_I, psi, sp: ProductSpace) -> ConstraintSystem:
 
 
 def solve(cs: ConstraintSystem):
-    """Affine solution set for each unknown core: least-squares particular
-    point plus an orthonormal basis of the homogeneous nullspace.
+    """Affine solution set for each unknown core: minimum-norm least-squares
+    particular point plus an orthonormal basis of the homogeneous nullspace.
 
-    The cores share one system matrix, so one least-squares solve over the
-    stacked right-hand sides and one SVD serve them all.
+    The cores share one system matrix, so one SVD with one rank cut serves
+    them all: the particular points from the kept singular triplets, the
+    nullspace from the rest of V^T (full only with fewer rows than unknowns).
     """
     a = cs.matrix
-    x0, *_ = np.linalg.lstsq(a, np.column_stack(list(cs.rhs.values())), rcond=None)
-    x0 = np.ascontiguousarray(x0.T)  # one particular point per row
-    _, sv, vt = np.linalg.svd(a)
+    u, sv, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     smax = sv[0] if sv.size else 0.0
     rank = int(np.sum(sv > 1e-10 * max(smax, 1.0)))
+    b = np.column_stack(list(cs.rhs.values()))
+    x0 = (b.T @ u[:, :rank] / sv[:rank]) @ vt[:rank]  # one particular point per row
     return [AffineSolutionSet(
         name=name, n=cs.space.dim_i, particular=x, nullspace=vt[rank:],
         residual=float(np.linalg.norm(a @ x - rhs)))
@@ -224,6 +225,9 @@ def filter_projectors(sol: AffineSolutionSet, sp: ProductSpace,
     Survivors are distinct and in a fixed order for a fixed seed; there are
     none when P_A is not a projector to ``_PROJECTOR_TOL``.
     """
+    draws = as_int(draws, "draws")
+    if draws < 0:
+        raise DimensionError(f"draws must be non-negative, got {draws}")
     p_a, v, x0, c = _free_block(sol)
     if not (is_hermitian(p_a, _PROJECTOR_TOL) and is_idempotent(p_a, _PROJECTOR_TOL)):
         return []
@@ -239,7 +243,7 @@ def filter_projectors(sol: AffineSolutionSet, sp: ProductSpace,
     consider(np.array([vh @ as_cmatrix(m) @ v for m in candidates]))
     rng = np.random.default_rng(seed)
     stack = _stack_size(v.shape[1])
-    for start in range(0, int(draws), stack):
-        t = rng.uniform(-_BOX, _BOX, size=(min(stack, int(draws) - start), sol.nullity))
+    for start in range(0, draws, stack):
+        t = rng.uniform(-_BOX, _BOX, size=(min(stack, draws - start), sol.nullity))
         consider(x0 + np.tensordot(t, c, 1))
     return found

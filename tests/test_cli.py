@@ -246,6 +246,17 @@ def test_simulate_rejects_bad_sample_count(capsys):
     assert rc == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--shards", "0"),
+    ("simulate", "--shards", "-5", "--samples", "10"),
+    ("solve", "--fixture", "dim10", "--draws", "-1"),
+], ids=["zero-shards", "negative-shards", "negative-draws"])
+def test_bad_counts_exit_2(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys)[0] == 2

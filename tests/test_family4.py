@@ -126,6 +126,25 @@ def test_cores_keep_the_closed_form_zeros():
                 assert not off[3:].any() and not off[:, 3:].any()
 
 
+def test_diagonal_blocks_split_the_projectors():
+    """P, Q (the diagonal blocks of G_I) have rank 2 and M, N (of L_I) rank 3;
+    the leading singular values are 1 and the last nonzero ones add up to 1
+    across the two sides, at the fixture and at 600 seeded points."""
+    points = [REF_PARAMS]
+    for seed, moduli in ((37, (0.1, 10.0)), (38, (1e-2, 1e2))):
+        rng = np.random.default_rng(seed)
+        points += [_random_params(rng, moduli=moduli) for _ in range(300)]
+    for params in points:
+        g, el, _ = family4.core_projectors(params)
+        (p, q), (m, n) = ([np.linalg.svd(core[s, s], compute_uv=False)
+                           for s in (slice(0, 5), slice(5, 10))] for core in (g, el))
+        for sv, rank in ((p, 2), (q, 2), (m, 3), (n, 3)):
+            assert np.max(np.abs(sv[:rank - 1] - 1)) <= 1e-12
+            assert sv[rank - 1] > 1e-12 and np.max(sv[rank:]) <= 1e-12
+        assert abs(p[1] + q[1] - 1) <= 1e-12
+        assert abs(m[2] + n[2] - 1) <= 1e-12
+
+
 def test_cross_block_column_coupling():
     # The y-side corner blocks are rank-deficient in a specific patterned
     # way: columns 3-5 are fixed linear images of columns 1-2.

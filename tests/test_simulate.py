@@ -167,6 +167,13 @@ def test_spec_validation(ref3):
         simulate.ExperimentSpec(ref3.psi, ref3.space, samples=0, seed=0)
 
 
+@pytest.mark.parametrize("shards", [0, -5, 2.5, True])
+def test_shard_count_below_one_or_not_an_integer_rejected(ref3, shards):
+    spec = simulate.ExperimentSpec(ref3.psi, ref3.space, samples=10, seed=0)
+    with pytest.raises(DimensionError, match="shards"):
+        simulate.run(spec, shards=shards)
+
+
 def test_tally_to_dict_roundtrips_counts(ref3):
     spec = simulate.ExperimentSpec(ref3.psi, ref3.space, samples=128, seed=5)
     d = simulate.run(spec).to_dict()

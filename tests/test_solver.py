@@ -6,7 +6,7 @@ import pytest
 from test_family3 import _random_params as random_family3
 from test_family4 import _random_params as random_family4
 from twoslit import family3, family4, fixtures, solver
-from twoslit.errors import StateShapeError
+from twoslit.errors import DimensionError, StateShapeError
 from twoslit.linalg import is_hermitian, is_idempotent
 from twoslit.space import ProductSpace, detector_flags, slit_projector
 
@@ -430,12 +430,19 @@ def test_batched_filter_matches_one_at_a_time_across_batch_edges(with_core):
                     assert np.max(np.abs(g - w)) <= 1e-12, (name, sol.name, draws)
 
 
+# states on 2 x (1, 1, 1, 1) whose solution set is a single point, or empty
+# (an inconsistent system), and the zero state, which constrains nothing
+SMALL = ProductSpace(2, (1, 1, 1, 1))
+SINGLE_POINT = np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2)
+INCONSISTENT = np.array([0.5, 0.5, 0, 0, 0, 0, 0.5, 0.5])
+
+
 @pytest.mark.parametrize("psi, want", [
-    (np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2), [np.diag([1.0, 0.0])]),
-    (np.array([0.5, 0.5, 0, 0, 0, 0, 0.5, 0.5]), []),
+    (SINGLE_POINT, [np.diag([1.0, 0.0])]),
+    (INCONSISTENT, []),
 ], ids=["single-point", "inconsistent"])
 def test_filter_on_a_single_point_set(psi, want):
-    sp = ProductSpace(2, (1, 1, 1, 1))
+    sp = SMALL
     (sol,) = solver.solve(solver.assemble(slit_projector(sp), psi, sp))
     assert sol.nullity == 0
     for draws in (1, 100):
@@ -443,3 +450,29 @@ def test_filter_on_a_single_point_set(psi, want):
                       _loop_filter(sol, draws=draws)):
             assert [m.tolist() for m in found] == [m.tolist() for m in want]
     assert solver.filter_projectors(sol, sp, draws=0) == []
+
+
+@pytest.mark.parametrize("name", ["spin32", "dim10", "family3", "family4",
+                                  "single-point", "inconsistent", "zero-state"])
+def test_particular_point_lies_in_the_row_space(name):
+    # the particular point is the minimum-norm one: no part along the nullspace
+    small = {"single-point": SINGLE_POINT, "inconsistent": INCONSISTENT,
+             "zero-state": np.zeros(SMALL.dim)}
+    if name in small:
+        states = [(SMALL, small[name])]
+    elif name in ("spin32", "dim10"):
+        states = [_state(name)[:2]]
+    else:
+        family, draw = ((family3, random_family3) if name == "family3"
+                        else (family4, random_family4))
+        states = [(p.space(), family.state(p))
+                  for p in (draw(np.random.default_rng(seed)) for seed in range(10, 15))]
+    for sp, psi in states:
+        for sol in solver.solve(solver.assemble(slit_projector(sp), psi, sp)):
+            assert np.linalg.norm(sol.nullspace @ sol.particular) <= 1e-12, (name, sol.name)
+
+
+def test_negative_draw_count_rejected(sys3):
+    fx, _, (sol,) = sys3
+    with pytest.raises(DimensionError, match="draws"):
+        solver.filter_projectors(sol, fx.space, draws=-1)
