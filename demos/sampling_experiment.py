@@ -1,10 +1,10 @@
 """Monte Carlo of the joint measurement, against its exact Born table.
 
 One run samples i.i.d. joint outcomes (slit bit, detector block) from the
-exact distribution of the commuting observable pair.  The stream is a
-seeded PCG64DXSM generator that each shard advances to its first sample,
-so a run is reproducible for a fixed seed and can be sharded without
-changing the merged tally.
+exact distribution of the commuting observable pair and keeps their
+counts, drawn as one multinomial from a seeded PCG64DXSM generator: a
+run is reproducible for a fixed seed, costs the same for any sample
+count, and gives the same tally for any shard count.
 
 Run:  python3 demos/sampling_experiment.py
 """

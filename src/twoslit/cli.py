@@ -203,7 +203,8 @@ def build_parser():
     p.add_argument("--space", help="product-space JSON file")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--shards", type=int, default=1)
+    p.add_argument("--shards", type=int, default=1,
+                   help="must be >= 1; the tally and the work are the same for any value")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     add_out(p)
     p.set_defaults(func=cmd_simulate)

@@ -5,18 +5,22 @@ block observable 1 (x) sum_i i * A_i; a single run samples i.i.d. joint
 outcomes (slit bit e, block index i) from the exact Born table
 p(e, i) = ||(E^e (x) A_i) psi||^2.
 
+Only the counts are kept, and the counts of ``samples`` i.i.d. draws are
+one Multinomial(samples, table) draw, made with O(cells) work whatever
+the sample count by sequential conditional binomials (Davis, Comput.
+Stat. Data Anal. 16, 205, 1993).
+
 Reproducibility contract: the random stream is numpy's PCG64DXSM
-generator seeded with the non-negative integer seed, one double per
-64-bit draw.  Samples are drawn by inverse CDF over the exact table
-flattened in C order with the slit bit as the leading axis: a uniform u
-falls in the first cell i with u < cum[i], so a u equal to a boundary
-goes to the cell above it (searchsorted, right side).  Sharded runs split
-the same stream at any sample index (each shard jumps ahead with
-``advance``, one step per draw), so the merged tally is bit-identical for
-any shard count.  Each shard draws its uniforms in fixed-size chunks that
-continue one stream, so memory stays bounded as samples grow, and each
-chunk is compared once per distinct cumulative bound strictly inside
-(0, 1).
+generator seeded with the non-negative integer seed.  The cells are
+visited in C order with the slit bit as the leading axis, and every cell
+of probability 0 is skipped, so it is never drawn.  With ``left`` the
+samples not yet placed and ``tail_j`` the sum of the positive cells from
+j to the last, each positive cell but the last takes
+``gen.binomial(left, min(1, p_j / tail_j))``, and the last positive cell
+takes what is left.  ``shards`` is validated but never matters: the
+tally and the work are the same for any shard count.  numpy may change
+the ``Generator.binomial`` stream between releases (NEP 19), so tallies
+for a given seed are pinned to one numpy release (the tests pin 2.4).
 """
 
 from dataclasses import dataclass
@@ -27,8 +31,8 @@ from .errors import DimensionError, StateShapeError, ZeroDivisorError
 from .linalg import as_cvector
 from .space import ProductSpace, as_int, block_weights, detector_flags
 
-# Uniforms drawn per call while sampling: bounds memory for any sample count.
-_CHUNK = 1 << 16
+# The largest trial count Generator.binomial accepts (a C int64).
+_MAX_SAMPLES = 2**63 - 1
 
 
 @dataclass
@@ -43,12 +47,16 @@ class ExperimentSpec:
         if self.psi.shape[0] != self.space.dim:
             raise DimensionError(
                 f"state length {self.psi.shape[0]} does not match space dim {self.space.dim}")
+        if not np.all(np.isfinite(self.psi)):
+            raise StateShapeError("state must be finite")
         if abs(np.linalg.norm(self.psi) - 1.0) > 1e-12:
             raise StateShapeError("state must be normalized to unit norm")
-        self.samples = int(self.samples)
-        if self.samples <= 0:
-            raise DimensionError("samples must be positive")
-        self.seed = int(self.seed)
+        self.samples = as_int(self.samples, "samples")
+        if not 1 <= self.samples <= _MAX_SAMPLES:
+            raise DimensionError(f"samples must be in [1, 2**63 - 1], got {self.samples}")
+        self.seed = as_int(self.seed, "seed")
+        if self.seed < 0:
+            raise DimensionError(f"seed must be non-negative, got {self.seed}")
 
 
 def exact_joint(psi, sp: ProductSpace):
@@ -102,62 +110,35 @@ class OutcomeTally:
         }
 
 
-def _cumulative(table):
-    probs = table.reshape(-1)
-    probs = probs / probs.sum()
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    return cum
-
-
-def _uniforms(samples, seed, shards):
-    """The run's uniforms, shard by shard, in chunks of at most ``_CHUNK``."""
-    per_shard = -(-samples // shards)
-    for start in range(0, samples, per_shard):
-        todo = min(per_shard, samples - start)
-        bg = np.random.PCG64DXSM(seed)
-        bg.advance(start)  # one step is one 64-bit draw, which is one double
-        gen = np.random.Generator(bg)
-        # each call continues the stream, so chunking never changes the draws
-        for done in range(0, todo, _CHUNK):
-            yield gen.random(min(_CHUNK, todo - done))
-
-
-def _tally(cum, chunks):
-    """Draws per cell of the uniforms in ``chunks``: cell i takes the u with
-    cum[i-1] <= u < cum[i], as ``searchsorted(cum, u, side="right")`` would.
-
-    Each chunk is compared once per distinct bound strictly inside (0, 1):
-    the uniforms lie in [0, 1), so a bound >= 1 (the last one, and any
-    before trailing zero cells) takes every draw and a bound <= 0 none.
-    """
-    bounds = cum[:-1]
-    inside = (bounds > 0) & (bounds < 1)
-    inner, slot = np.unique(bounds[inside], return_inverse=True)
-    below_inner = np.zeros(inner.shape[0], dtype=np.int64)
-    total = 0
-    for u in chunks:
-        for k, bound in enumerate(inner):
-            below_inner[k] += np.count_nonzero(u < bound)
-        total += u.shape[0]
-    # below[i] counts the draws u < cum[i]
-    below = np.where(bounds >= 1, total, 0)
-    below[inside] = below_inner[slot]
-    return np.diff(below, prepend=0, append=total)
+def _multinomial(probs, samples, gen):
+    """Counts of ``samples`` i.i.d. draws from the cells of ``probs``, by
+    conditional binomials over the positive cells in order."""
+    counts = np.zeros(probs.shape[0], dtype=np.int64)
+    cells = np.flatnonzero(probs > 0)
+    p = probs[cells]
+    # tail[j] sums the positive cells from j to the last, not 1 minus a running sum that drifts
+    tail = np.cumsum(p[::-1])[::-1]
+    left = samples
+    for j, pj, tj in zip(cells[:-1], p[:-1], tail[:-1]):
+        c = gen.binomial(left, min(1.0, pj / tj))
+        counts[j] = c
+        left -= c
+    counts[cells[-1]] = left
+    return counts
 
 
 def run(spec: ExperimentSpec, shards=1) -> OutcomeTally:
     """Sample the joint outcomes; deterministic given (psi, samples, seed).
 
-    ``shards`` (at least 1) only affects how the stream is consumed, never
-    the merged tally; cells with exact probability 0 can never be drawn.
+    ``shards`` must be an integer of at least 1 and changes neither the
+    tally nor the work; cells with exact probability 0 are never drawn.
     """
     shards = as_int(shards, "shards")
     if shards < 1:
         raise DimensionError(f"shards must be at least 1, got {shards}")
     table = exact_joint(spec.psi, spec.space)
-    chunks = _uniforms(spec.samples, spec.seed, shards)
-    counts = _tally(_cumulative(table), chunks).reshape(table.shape)
+    gen = np.random.Generator(np.random.PCG64DXSM(spec.seed))
+    counts = _multinomial(table.reshape(-1), spec.samples, gen).reshape(table.shape)
     empirical = counts / spec.samples
     stderr = np.sqrt(table * (1 - table) / spec.samples)
     return OutcomeTally(space=spec.space, samples=spec.samples, seed=spec.seed,

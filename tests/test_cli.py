@@ -250,11 +250,27 @@ def test_simulate_rejects_bad_sample_count(capsys):
     ("simulate", "--shards", "0"),
     ("simulate", "--shards", "-5", "--samples", "10"),
     ("solve", "--fixture", "dim10", "--draws", "-1"),
-], ids=["zero-shards", "negative-shards", "negative-draws"])
+    ("simulate", "--seed", "-1"),
+    ("simulate", "--samples", str(2**63)),
+], ids=["zero-shards", "negative-shards", "negative-draws", "negative-seed", "samples-2**63"])
 def test_bad_counts_exit_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and err.startswith("error:") and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_simulate_rejects_a_non_finite_state(capsys, tmp_path, bad, fmt):
+    fx = fixtures.fixture("spin32")
+    psi = fx.psi.copy()
+    psi[0] = bad
+    psi_path, space_path = tmp_path / "psi.json", tmp_path / "space.json"
+    jsonio.write_json(psi_path, jsonio.vector_to_json(psi))
+    jsonio.write_json(space_path, jsonio.space_to_json(fx.space))
+    rc, out, err = run_cli(capsys, "simulate", "--psi", str(psi_path), "--space", str(space_path),
+                           "--samples", "10", "--format", fmt)
+    assert (rc, out, err) == (2, "", "error: state must be finite\n")
 
 
 def test_usage_errors_exit_2(capsys):
