@@ -7,8 +7,8 @@ solve (brute-force solution-set search) and simulate (seeded sampling).
 Exit codes: 0 success with all verifications passing, 1 a verification or
 reproduction failed (the report is still emitted), 2 usage or input
 errors.  JSON goes to stdout unless --out is given.  The equality
-tolerance defaults to 1e-12 and may be overridden per call with --tol or
-globally with the TWOSLIT_TOL environment variable.  solve checks its
+tolerance (finite, >= 0) defaults to 1e-12, overridden per call by --tol
+or globally by the TWOSLIT_TOL environment variable.  solve checks its
 residuals against 1e-10 and simulate checks nothing; neither takes --tol.
 """
 
@@ -61,7 +61,7 @@ def cmd_generate4(args):
 
 def cmd_verify(args):
     payload = jsonio.read_json(args.bundle)
-    if "bundle" in payload and "space" not in payload:
+    if isinstance(payload, dict) and "bundle" in payload and "space" not in payload:
         payload = payload["bundle"]  # accept generate*/reproduce output directly
     bundle = jsonio.bundle_from_json(payload)
     report = verify_bundle(bundle, tol=args.tol)
@@ -162,7 +162,7 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--tol", type=float, default=None,
-                       help="equality tolerance (default 1e-12 or TWOSLIT_TOL)")
+                       help="equality tolerance, finite and >= 0 (default 1e-12 or TWOSLIT_TOL)")
         add_out(p)
 
     p = sub.add_parser("generate3", help="build a two-detector solution bundle")

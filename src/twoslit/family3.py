@@ -14,17 +14,17 @@ bundle's ``derived`` dict.
 """
 
 from dataclasses import dataclass, field, fields
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
 from .errors import ParamRangeError, SeedError
 from .linalg import as_cvector
-from .space import ProductSpace, SolutionBundle, assemble
+from .space import ProductSpace, SolutionBundle, as_int, assemble
 
-# A parameter dataclass's field annotations are its schema: float, int,
-# complex or np.ndarray (a seed vector); jsonio encodes by the same types.
-_COERCE = {float: float, int: int, complex: complex, np.ndarray: as_cvector}
+# A parameter dataclass's field annotations are its schema: float, int (read by
+# as_int), complex or np.ndarray (a seed vector); jsonio encodes by the same types.
+_COERCE = {float: float, complex: complex, np.ndarray: as_cvector}
 
 
 def unit_seed():
@@ -34,7 +34,8 @@ def unit_seed():
 @cache
 def _schema(cls):
     """(name, coercion) of each field of a parameter dataclass, and the seed names."""
-    return ([(f.name, _COERCE[f.type]) for f in fields(cls)],
+    return ([(f.name, partial(as_int, what=f.name) if f.type is int else _COERCE[f.type])
+             for f in fields(cls)],
             [f.name for f in fields(cls) if f.type is np.ndarray])
 
 

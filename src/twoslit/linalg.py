@@ -11,28 +11,36 @@ package:
 
 Both can be overridden globally through the ``TWOSLIT_TOL`` /
 ``TWOSLIT_NONZERO_TOL`` environment variables, or per call via the ``tol``
-arguments.
+arguments; ``tolerance`` reads each, raising FormatError unless it is finite and >= 0.
 """
 
 import os
+from functools import partial
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, FormatError
 
 DEFAULT_TOL = 1e-12
 NONZERO_TOL = 1e-6
 
 
-def default_tol():
-    """Equality tolerance, honoring the TWOSLIT_TOL environment override."""
-    env = os.environ.get("TWOSLIT_TOL")
-    return float(env) if env else DEFAULT_TOL
+def tolerance(tol=None, env="TWOSLIT_TOL", default=DEFAULT_TOL):
+    """``tol``, else the nonempty environment variable ``env``, else ``default``,
+    as a float; FormatError, naming the source, unless it is finite and >= 0."""
+    what, value = ("tolerance", tol) if tol is not None else (env, os.environ.get(env) or default)
+    try:
+        t = float(value)
+    except (TypeError, ValueError):
+        t = np.nan
+    if not 0 <= t < np.inf:
+        raise FormatError(f"{what} must be a finite number >= 0, got {value!r}")
+    return t
 
 
-def default_nonzero_tol():
-    env = os.environ.get("TWOSLIT_NONZERO_TOL")
-    return float(env) if env else NONZERO_TOL
+# The equality tolerance and the nonzero threshold: explicit, else environment, else default.
+default_tol = tolerance
+default_nonzero_tol = partial(tolerance, env="TWOSLIT_NONZERO_TOL", default=NONZERO_TOL)
 
 
 def as_cmatrix(a):
@@ -68,8 +76,7 @@ def is_hermitian(a, tol=None):
     a = as_cmatrix(a)
     if a.shape[0] != a.shape[1]:
         return False
-    t = default_tol() if tol is None else float(tol)
-    return bool(np.max(np.abs(a - a.conj().T)) <= t)
+    return bool(np.max(np.abs(a - a.conj().T)) <= tolerance(tol))
 
 
 def is_idempotent(a, tol=None):
@@ -77,8 +84,7 @@ def is_idempotent(a, tol=None):
     a = as_cmatrix(a)
     if a.shape[0] != a.shape[1]:
         return False
-    t = default_tol() if tol is None else float(tol)
-    return bool(np.max(np.abs(a @ a - a)) <= t)
+    return bool(np.max(np.abs(a @ a - a)) <= tolerance(tol))
 
 
 def projector_rank(a, tol=1e-9):
@@ -90,6 +96,6 @@ def projector_rank(a, tol=1e-9):
     """
     tr = np.trace(as_cmatrix(a))
     r = round(tr.real)
-    if abs(tr - r) > tol or r < 0:
+    if abs(tr - r) > tolerance(tol) or r < 0:
         raise DimensionError(f"trace {tr} is not a nonnegative integer within {tol}")
     return int(r)

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, StateShapeError, ZeroDivisorError
-from .linalg import as_cvector
-from .space import ProductSpace, as_int, block_weights, detector_flags
+from .errors import StateShapeError, ZeroDivisorError
+from .space import ProductSpace, as_int, as_state, block_weights, detector_flags
 
 # The largest trial count Generator.binomial accepts (a C int64).
 _MAX_SAMPLES = 2**63 - 1
@@ -43,20 +42,11 @@ class ExperimentSpec:
     seed: int
 
     def __post_init__(self):
-        self.psi = as_cvector(self.psi)
-        if self.psi.shape[0] != self.space.dim:
-            raise DimensionError(
-                f"state length {self.psi.shape[0]} does not match space dim {self.space.dim}")
-        if not np.all(np.isfinite(self.psi)):
-            raise StateShapeError("state must be finite")
+        self.psi = as_state(self.psi, self.space)
         if abs(np.linalg.norm(self.psi) - 1.0) > 1e-12:
             raise StateShapeError("state must be normalized to unit norm")
-        self.samples = as_int(self.samples, "samples")
-        if not 1 <= self.samples <= _MAX_SAMPLES:
-            raise DimensionError(f"samples must be in [1, 2**63 - 1], got {self.samples}")
-        self.seed = as_int(self.seed, "seed")
-        if self.seed < 0:
-            raise DimensionError(f"seed must be non-negative, got {self.seed}")
+        self.samples = as_int(self.samples, "samples", lo=1, hi=_MAX_SAMPLES)
+        self.seed = as_int(self.seed, "seed", lo=0)
 
 
 def exact_joint(psi, sp: ProductSpace):
@@ -66,10 +56,7 @@ def exact_joint(psi, sp: ProductSpace):
     projector), row e=0 the complement; the table sums to 1 for a unit
     state.
     """
-    psi = as_cvector(psi)
-    if psi.shape[0] != sp.dim:
-        raise DimensionError(f"state length {psi.shape[0]} does not match space dim {sp.dim}")
-    per_block = block_weights(psi, sp)
+    per_block = block_weights(as_state(psi, sp), sp)
     table = np.empty((2, len(sp.partition)))
     table[0] = per_block[sp.rank_e:].sum(axis=0)
     table[1] = per_block[: sp.rank_e].sum(axis=0)
@@ -133,9 +120,7 @@ def run(spec: ExperimentSpec, shards=1) -> OutcomeTally:
     ``shards`` must be an integer of at least 1 and changes neither the
     tally nor the work; cells with exact probability 0 are never drawn.
     """
-    shards = as_int(shards, "shards")
-    if shards < 1:
-        raise DimensionError(f"shards must be at least 1, got {shards}")
+    as_int(shards, "shards", lo=1)
     table = exact_joint(spec.psi, spec.space)
     gen = np.random.Generator(np.random.PCG64DXSM(spec.seed))
     counts = _multinomial(table.reshape(-1), spec.samples, gen).reshape(table.shape)

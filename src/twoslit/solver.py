@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, StateShapeError
-from .linalg import as_cmatrix, as_cvector, is_hermitian, is_idempotent
-from .space import ProductSpace, as_int, block_weights, detector_flags
+from .errors import StateShapeError
+from .linalg import as_cmatrix, is_hermitian, is_idempotent
+from .space import ProductSpace, as_int, as_state, block_weights, detector_flags, slit_projector
 
 
 def from_coords(c, n):
@@ -117,16 +117,15 @@ def _system_matrix(rows):
 def assemble(E_I, psi, sp: ProductSpace) -> ConstraintSystem:
     """Linear system(s) whose Hermitian solutions reproduce the detector
     outcomes: {G : Y psi = (G x 1) psi} and, in 8-block mode,
-    {L : W psi = (L x 1) psi}."""
+    {L : W psi = (L x 1) psi}.  ``E_I`` must be ``slit_projector(sp)`` and
+    ``psi`` a finite state of length ``sp.dim``, else StateShapeError."""
     E_I = as_cmatrix(E_I)
-    if E_I.shape != (sp.dim_i, sp.dim_i):
-        raise StateShapeError(f"E_I shape {E_I.shape} does not match dim_i={sp.dim_i}")
-    psi = as_cvector(psi)
-    if psi.shape[0] != sp.dim:
-        raise StateShapeError(f"state length {psi.shape[0]} does not match space dim {sp.dim}")
+    if not np.array_equal(E_I, slit_projector(sp)):
+        raise StateShapeError(f"E_I must be the slit projector of dim_i={sp.dim_i}")
+    psi = as_state(psi, sp, StateShapeError)
 
     scale = max(float(np.linalg.norm(psi)), 1.0)
-    _pattern_check(psi, sp, np.abs(E_I.diagonal() - 1) < 1e-9, scale)
+    _pattern_check(psi, sp, np.arange(sp.dim_i) < sp.rank_e, scale)
 
     rows = psi.reshape(sp.dim_i, sp.dim_ii)
     rhs = {}
@@ -225,9 +224,8 @@ def filter_projectors(sol: AffineSolutionSet, sp: ProductSpace,
     Survivors are distinct and in a fixed order for a fixed seed; there are
     none when P_A is not a projector to ``_PROJECTOR_TOL``.
     """
-    draws = as_int(draws, "draws")
-    if draws < 0:
-        raise DimensionError(f"draws must be non-negative, got {draws}")
+    draws = as_int(draws, "draws", lo=0)
+    seed = as_int(seed, "seed", lo=0)
     p_a, v, x0, c = _free_block(sol)
     if not (is_hermitian(p_a, _PROJECTOR_TOL) and is_idempotent(p_a, _PROJECTOR_TOL)):
         return []

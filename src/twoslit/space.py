@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ModeError
-from .linalg import as_cmatrix
+from .errors import DimensionError, ModeError, StateShapeError
+from .linalg import as_cmatrix, as_cvector
 
 # By number of blocks, the ordered (property, detector, block flags) triples: T = A1 + A2
 # and Y = A1 + A3 on 4; on 8 the detectors overlap pairwise on two blocks, sharing A1.
@@ -27,13 +27,19 @@ _PAIRS = {4: (("E", "T", (1, 1, 0, 0)),
               ("L", "W", (1, 0, 1, 1, 0, 0, 1, 0)))}
 
 
-def as_int(x, what, error=DimensionError):
-    """x as a Python int: an int, a numpy integer or a float with an integral
-    value; a bool or anything else raises ``error``."""
+def as_int(x, what, error=DimensionError, lo=None, hi=None):
+    """x as a Python int in [lo, hi] (a bound of None is open): an int, a
+    numpy integer or a float with an integral value; a bool, anything else
+    or a value out of range raises ``error``."""
     if isinstance(x, bool) or not (isinstance(x, (int, np.integer)) or
                                    isinstance(x, (float, np.floating)) and float(x).is_integer()):
         raise error(f"{what} must be an integer, got {x!r}")
-    return int(x)
+    n = int(x)
+    if lo is not None and n < lo:
+        raise error(f"{what} must be at least {lo}, got {n}")
+    if hi is not None and n > hi:
+        raise error(f"{what} must be at most {hi}, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -41,25 +47,23 @@ class ProductSpace:
     """Dimensions of the two factors plus the right-factor block partition.
 
     ``partition`` must have length 4 (two-detector mode) or 8
-    (three-detector mode); ``dim_i`` must be even, the slit projector rank
-    being fixed to ``dim_i // 2``.  ``dim_i`` and each block size are
-    stored as Python ints; integral floats and numpy integers are read as
-    their values, while bools and other values raise DimensionError.
+    (three-detector mode) and each block size be at least 1; ``dim_i``
+    must be even and at least 2, the slit projector rank being fixed to
+    ``dim_i // 2``.  ``dim_i`` and each block size are read by ``as_int``
+    and stored as Python ints.
     """
 
     dim_i: int
     partition: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "dim_i", as_int(self.dim_i, "dim_i"))
+        object.__setattr__(self, "dim_i", as_int(self.dim_i, "dim_i", lo=2))
         object.__setattr__(self, "partition",
-                           tuple(as_int(b, "a block size") for b in self.partition))
-        if self.dim_i <= 0 or self.dim_i % 2 != 0:
-            raise DimensionError(f"dim_i must be a positive even integer, got {self.dim_i}")
+                           tuple(as_int(b, "a block size", lo=1) for b in self.partition))
+        if self.dim_i % 2 != 0:
+            raise DimensionError(f"dim_i must be even, got {self.dim_i}")
         if len(self.partition) not in _PAIRS:
             raise ModeError(f"partition must have 4 or 8 blocks, got {len(self.partition)}")
-        if any(b <= 0 for b in self.partition):
-            raise DimensionError(f"block sizes must be positive, got {self.partition}")
 
     @property
     def rank_e(self):
@@ -82,6 +86,17 @@ class ProductSpace:
     def pairs(self):
         """The ordered (property, detector, block flags) triples of this mode."""
         return _PAIRS[len(self.partition)]
+
+
+def as_state(psi, sp: ProductSpace, error=DimensionError):
+    """psi as a complex vector of length ``sp.dim``, raising ``error`` for
+    another length and StateShapeError for a non-finite entry."""
+    psi = as_cvector(psi)
+    if psi.shape[0] != sp.dim:
+        raise error(f"state length {psi.shape[0]} does not match space dim {sp.dim}")
+    if not np.all(np.isfinite(psi)):
+        raise StateShapeError("state must be finite")
+    return psi
 
 
 def slit_projector(sp: ProductSpace):

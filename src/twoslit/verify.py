@@ -22,8 +22,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionError, NonCommutingError, ZeroConditioningError
-from .linalg import (as_cmatrix, as_cvector, commutator, default_nonzero_tol,
-                     default_tol, frobenius_norm)
+from .linalg import (as_cmatrix, as_cvector, commutator, default_nonzero_tol, frobenius_norm,
+                     tolerance)
 from .space import lift_right
 
 
@@ -104,12 +104,6 @@ def _nonzero(name, residual, tol_nz):
     return CheckEntry(name, "nonzero", float(residual), bool(residual > tol_nz))
 
 
-def _tolerances(tol, tol_nonzero):
-    t = default_tol() if tol is None else float(tol)
-    tnz = default_nonzero_tol() if tol_nonzero is None else float(tol_nonzero)
-    return t, tnz
-
-
 def _dense_act(op, psi):
     """op applied to the state, for an operator on the whole product space."""
     return op @ psi
@@ -168,7 +162,7 @@ def check3(E, G, T, Y, psi, tol=None, tol_nonzero=None, space=None):
 def _dense_report(props, dets, psi, tol, tol_nonzero, space=None):
     """The dense report for ``props`` paired in order with ``dets``; with ``space``,
     also the structural C.6: every detector acts on the right factor only."""
-    t, tnz = _tolerances(tol, tol_nonzero)
+    t, tnz = tolerance(tol), default_nonzero_tol(tol_nonzero)
     psi = _normalized(psi)
     _conformable(psi, *props, *dets)
     entries = _conditions(props, dets, psi, t, tnz)
@@ -205,7 +199,7 @@ def conditional_probability(a, b, psi, tol=None):
     ratio has no probability meaning then) and ZeroConditioningError when
     the conditioning event has zero probability on psi.
     """
-    t = default_tol() if tol is None else float(tol)
+    t = tolerance(tol)
     psi = _normalized(psi)
     _conformable(psi, a, b)
     if frobenius_norm(commutator(a, b)) > max(t, 1e-10):
@@ -252,7 +246,7 @@ def detect_correlations(bundle, tol=None):
     i.e. the detections are not informationally independent.  An empty
     list certifies the non-correlated branch.
     """
-    t, _ = _tolerances(tol, None)
+    t = tolerance(tol)
     idents = _catalog(_dense_act, _normalized(bundle.psi), bundle.T, bundle.Y,
                       getattr(bundle, "W", None))
     return _findings(idents, t)
@@ -329,7 +323,7 @@ def verify_bundle(bundle, tol=None, tol_nonzero=None):
         report.correlation_findings = detect_correlations(bundle, tol=tol)
     else:
         ops = cores
-        t, tnz = _tolerances(tol, tol_nonzero)
+        t, tnz = tolerance(tol), default_nonzero_tol(tol_nonzero)
         rows = _normalized(bundle.psi).reshape(sp.dim_i, sp.dim_ii)
         det_cores = [cores[name] for name in dets]
         entries = _conditions([cores[name] for name in props], det_cores, rows, t, tnz,

@@ -252,23 +252,30 @@ def test_simulate_rejects_bad_sample_count(capsys):
     ("solve", "--fixture", "dim10", "--draws", "-1"),
     ("simulate", "--seed", "-1"),
     ("simulate", "--samples", str(2**63)),
-], ids=["zero-shards", "negative-shards", "negative-draws", "negative-seed", "samples-2**63"])
+    ("solve", "--fixture", "spin32", "--seed", "-1"),
+], ids=["zero-shards", "negative-shards", "negative-draws", "negative-seed", "samples-2**63",
+        "negative-solve-seed"])
 def test_bad_counts_exit_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
-    assert rc == 2 and err.startswith("error:") and "Traceback" not in err
+    assert rc == 2 and err.startswith("error:") and err.count("\n") == 1
     assert out == ""
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
-def test_simulate_rejects_a_non_finite_state(capsys, tmp_path, bad, fmt):
+def _bad_state_files(tmp_path, bad):
+    """--psi and --space files of the spin32 state with its first entry set to bad."""
     fx = fixtures.fixture("spin32")
     psi = fx.psi.copy()
     psi[0] = bad
     psi_path, space_path = tmp_path / "psi.json", tmp_path / "space.json"
     jsonio.write_json(psi_path, jsonio.vector_to_json(psi))
     jsonio.write_json(space_path, jsonio.space_to_json(fx.space))
-    rc, out, err = run_cli(capsys, "simulate", "--psi", str(psi_path), "--space", str(space_path),
+    return ("--psi", str(psi_path), "--space", str(space_path))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_simulate_rejects_a_non_finite_state(capsys, tmp_path, bad, fmt):
+    rc, out, err = run_cli(capsys, "simulate", *_bad_state_files(tmp_path, bad),
                            "--samples", "10", "--format", fmt)
     assert (rc, out, err) == (2, "", "error: state must be finite\n")
 
@@ -604,3 +611,52 @@ def test_verify_reads_hostile_bundle_text_as_json_load_does(capsys, tmp_path, mo
     got = run_cli(capsys, "verify", "--bundle", str(bad))
     monkeypatch.setattr(jsonio, "read_json", _json_load)
     assert got == run_cli(capsys, "verify", "--bundle", str(bad))
+
+
+@pytest.fixture(scope="module")
+def bundle3_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bundle") / "b3.json"
+    jsonio.write_json(path, {"bundle": jsonio.bundle_to_json(family3.build(
+        fixtures.fixture("spin32").params))})
+    return path
+
+
+@pytest.mark.parametrize("env, argv, message", [
+    ({}, ("verify", "--tol", "nan"), "tolerance must be a finite number >= 0, got nan"),
+    ({}, ("verify", "--tol", "-1"), "tolerance must be a finite number >= 0, got -1.0"),
+    ({}, ("verify", "--tol", "inf"), "tolerance must be a finite number >= 0, got inf"),
+    ({"TWOSLIT_TOL": "abc"}, ("verify",),
+     "TWOSLIT_TOL must be a finite number >= 0, got 'abc'"),
+    ({"TWOSLIT_TOL": "nan"}, ("verify",),
+     "TWOSLIT_TOL must be a finite number >= 0, got 'nan'"),
+    ({"TWOSLIT_NONZERO_TOL": "nan"}, ("verify",),
+     "TWOSLIT_NONZERO_TOL must be a finite number >= 0, got 'nan'"),
+    ({}, ("verify", "--format", "csv", "--tol", "-1"),
+     "tolerance must be a finite number >= 0, got -1.0"),
+    ({}, ("generate3", "--tol", "nan"), "tolerance must be a finite number >= 0, got nan"),
+    ({"TWOSLIT_TOL": "-1"}, ("reproduce", "--fixture", "dim10"),
+     "TWOSLIT_TOL must be a finite number >= 0, got '-1'"),
+], ids=["tol-nan", "tol-minus-1", "tol-inf", "env-abc", "env-nan", "nonzero-env-nan",
+        "csv-tol-minus-1", "generate3-tol-nan", "reproduce-env-minus-1"])
+def test_bad_tolerance_exits_2(capsys, monkeypatch, bundle3_path, env, argv, message):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if argv[0] == "verify":
+        argv += ("--bundle", str(bundle3_path))
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text", ["5", "null", "1.5", "true", '"bundle"'])
+def test_verify_a_json_scalar_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    rc, out, err = run_cli(capsys, "verify", "--bundle", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: malformed input:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra", [(), ("--no-filter",)], ids=["search", "no-filter"])
+def test_solve_rejects_a_non_finite_state(capsys, tmp_path, extra):
+    rc, out, err = run_cli(capsys, "solve", *_bad_state_files(tmp_path, np.nan), *extra)
+    assert (rc, out, err) == (2, "", "error: state must be finite\n")

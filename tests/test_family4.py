@@ -240,3 +240,18 @@ def test_reference_bundle_has_expected_correlations():
     identities = {f.identity for f in detect_correlations(bundle)}
     assert "(1-W)Y psi = 0" in identities
     assert "(1-T)(1-W)Y psi = 0" in identities
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3", None], ids=["fraction", "bool", "string",
+                                                                "none"])
+def test_integer_fields_are_read_by_as_int(value):
+    with pytest.raises(DimensionError, match="dim_block2 must be an integer"):
+        dataclasses.replace(REF_PARAMS, dim_block2=value)
+
+
+def test_integer_fields_keep_integral_values():
+    p = dataclasses.replace(REF_PARAMS, dim_block2=2.0, dim_block6=np.int64(3))
+    assert (p.dim_block2, p.dim_block6) == (2, 3)
+    assert type(p.dim_block2) is int and type(p.dim_block6) is int
+    with pytest.raises(DimensionError, match="a block size must be at least 1, got 0"):
+        dataclasses.replace(REF_PARAMS, dim_block6=0).space()

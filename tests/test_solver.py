@@ -476,3 +476,48 @@ def test_negative_draw_count_rejected(sys3):
     fx, _, (sol,) = sys3
     with pytest.raises(DimensionError, match="draws"):
         solver.filter_projectors(sol, fx.space, draws=-1)
+
+
+@pytest.mark.parametrize("seed", [1.7, True, -1, "0", None],
+                         ids=["fraction", "bool", "negative", "string", "none"])
+def test_search_seed_is_a_non_negative_integer(sys3, seed):
+    fx, _, (sol,) = sys3
+    with pytest.raises(DimensionError, match="seed"):
+        solver.filter_projectors(sol, fx.space, draws=10, seed=seed)
+
+
+def test_search_reads_integral_draws_and_seed(sys3):
+    fx, _, (sol,) = sys3
+    got = solver.filter_projectors(sol, fx.space, draws=20.0, seed=np.int64(3))
+    want = solver.filter_projectors(sol, fx.space, draws=20, seed=3)
+    assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert solver.filter_projectors(sol, fx.space, draws=0, seed=0) == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)],
+                         ids=["nan", "inf", "nan-imag"])
+def test_non_finite_state_rejected(bad):
+    fx = fixtures.fixture("spin32")
+    psi = fx.psi.copy()
+    psi[0] = bad
+    with pytest.raises(StateShapeError, match="state must be finite"):
+        solver.assemble(slit_projector(fx.space), psi, fx.space)
+
+
+def _rotated_slit_projector(sp):
+    q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(sp.dim_i, sp.dim_i)))
+    return q @ slit_projector(sp) @ q.T
+
+
+@pytest.mark.parametrize("name", ["spin32", "dim10"])
+@pytest.mark.parametrize("e_i", [
+    _rotated_slit_projector, lambda sp: 0.5 * np.eye(sp.dim_i), lambda sp: np.eye(sp.dim_i),
+    lambda sp: np.eye(sp.dim_i) - slit_projector(sp),
+    lambda sp: slit_projector(sp) + 1e-12 * np.eye(sp.dim_i),
+], ids=["rotated", "half-identity", "identity", "complement", "perturbed"])
+def test_e_i_must_be_the_slit_projector(name, e_i):
+    """A wrong E_I is reported as E_I, never as the state breaking the pattern."""
+    fx = fixtures.fixture(name)
+    with pytest.raises(StateShapeError, match=f"E_I must be the slit projector of "
+                                              f"dim_i={fx.space.dim_i}"):
+        solver.assemble(e_i(fx.space), fx.psi, fx.space)

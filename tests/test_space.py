@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from twoslit import fixtures
-from twoslit.errors import DimensionError, ModeError
+from twoslit.errors import DimensionError, FormatError, ModeError, StateShapeError
 from twoslit.space import (
     ProductSpace,
+    as_int,
+    as_state,
     assemble,
     block_projector,
     detector_flags,
@@ -164,3 +166,59 @@ def test_lifts_copy_the_core_bit_for_bit_and_equal_kron(dim_i, partition):
         lift_right(np.eye(m + 1), sp)
     with pytest.raises(DimensionError):
         lift_left(np.ones((n, n + 1)), sp)
+
+
+@pytest.mark.parametrize("x, lo, hi", [
+    (1, 1, None), (2**63 - 1, 1, 2**63 - 1), (0, 0, None), (5, None, 5), (-7, None, None),
+    (3.0, 3, 3), (np.int64(0), 0, None),
+], ids=["lo", "samples-max", "seed-0", "hi", "open", "integral-float", "numpy"])
+def test_as_int_accepts_each_range_edge(x, lo, hi):
+    n = as_int(x, "n", lo=lo, hi=hi)
+    assert n == x and type(n) is int
+
+
+@pytest.mark.parametrize("x, what, lo, hi, message", [
+    (2**63, "samples", 1, 2**63 - 1, f"samples must be at most {2**63 - 1}, got {2**63}"),
+    (0, "samples", 1, 2**63 - 1, "samples must be at least 1, got 0"),
+    (-1, "seed", 0, None, "seed must be at least 0, got -1"),
+    (0, "shards", 1, None, "shards must be at least 1, got 0"),
+    (-1, "draws", 0, None, "draws must be at least 0, got -1"),
+    (6, "n", None, 5, "n must be at most 5, got 6"),
+], ids=["samples-2**63", "samples-0", "seed--1", "shards-0", "draws--1", "above-hi"])
+def test_as_int_rejects_one_past_each_edge(x, what, lo, hi, message):
+    with pytest.raises(DimensionError) as err:
+        as_int(x, what, lo=lo, hi=hi)
+    assert str(err.value) == message
+
+
+def test_as_int_raises_the_given_error_type():
+    with pytest.raises(FormatError, match="the value must be an integer"):
+        as_int(1.5, "the value", FormatError, lo=0)
+    with pytest.raises(FormatError, match="at least 0"):
+        as_int(-1, "the value", FormatError, lo=0)
+
+
+@pytest.mark.parametrize("dim_i, partition, message", [
+    (0, (1, 1, 1, 1), "dim_i must be at least 2, got 0"),
+    (7, (1, 1, 1, 1), "dim_i must be even, got 7"),
+    (6, (1, 0, 1, 1), "a block size must be at least 1, got 0"),
+    (6, (1, 1, 1, -2), "a block size must be at least 1, got -2"),
+])
+def test_space_sizes_are_read_by_as_int(dim_i, partition, message):
+    with pytest.raises(DimensionError) as err:
+        ProductSpace(dim_i, partition)
+    assert str(err.value) == message
+
+
+def test_as_state_checks_length_then_finiteness():
+    sp = ProductSpace(2, (1, 1, 1, 1))
+    assert as_state([1, 0, 0, 0, 0, 0, 0, 0], sp).dtype == complex
+    with pytest.raises(DimensionError, match="state length 7"):
+        as_state(np.zeros(7), sp)
+    with pytest.raises(StateShapeError, match="state length 7"):
+        as_state(np.zeros(7), sp, StateShapeError)
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        psi = np.zeros(8, dtype=complex)
+        psi[3] = bad
+        with pytest.raises(StateShapeError, match="state must be finite"):
+            as_state(psi, sp)
