@@ -160,17 +160,24 @@ def solve(cs: ConstraintSystem):
 
 
 def _purify(m, max_iter=200, stop=1e-13):
-    """Iterate m <- 3 m^2 - 2 m^3 on each matrix of the stack m; converges
-    to a projector from nearby Hermitian starting points and preserves the
+    """Iterate m <- 3 m^2 - 2 m^3 on each Hermitian matrix of the stack m;
+    converges to a projector from nearby starting points and preserves the
     affine solution set.
 
     Returns one entry per matrix: the projector once ``max|m^2 - m|`` falls
-    below ``stop`` (tested before each step), or None when a step leaves
-    the finite values or exceeds 1e6 in modulus, or after ``max_iter``
+    below ``stop`` (tested before each step), or None when a step gives an
+    entry not within 1e6 in modulus (NaN included), or after ``max_iter``
     steps.  Each matrix takes its own steps, unaffected by the others.
+    Before the first product, a start with a column of ``m - I/2`` longer
+    than ``_ESCAPE`` (or not finite) is given None: it has an eigenvalue
+    whose orbit diverges.  That screen holds for Hermitian starts only; a
+    non-normal one such as [[0, 100], [0, 0]] has a long column yet
+    purifies to 0.
     """
     out = [None] * len(m)
-    live = np.arange(len(m))
+    eye = np.eye(m.shape[-1])
+    live = np.flatnonzero(np.linalg.norm(m - eye / 2, axis=-2).max(axis=-1) <= _ESCAPE)
+    m = m[live]
     for _ in range(max_iter):
         if not live.size:
             break
@@ -180,7 +187,7 @@ def _purify(m, max_iter=200, stop=1e-13):
             out[k] = mk
         m, m2, live = m[~done], m2[~done], live[~done]
         m = 3 * m2 - 2 * m2 @ m
-        ok = np.isfinite(m).all(axis=(1, 2)) & ~(np.max(np.abs(m), axis=(1, 2)) > 1e6)
+        ok = np.max(np.abs(m), axis=(1, 2)) <= 1e6  # False for NaN too
         m, live = m[ok], live[ok]
     return out
 
@@ -190,6 +197,12 @@ def _purify(m, max_iter=200, stop=1e-13):
 _STACK_ENTRIES = 1 << 14
 _BOX = 2.0             # half-width of the centered box of nullspace coordinates drawn
 _PROJECTOR_TOL = 1e-9  # of the projector predicates the fixed part P_A must pass
+# With y = x - 1/2 a step maps an eigenvalue y to 3y/2 - 2y^3, of modulus
+# |y| (2y^2 - 3/2) > |y| once |y| > sqrt(5)/2 ~ 1.118, a ratio that grows
+# each step: every bounded orbit stays within sqrt(5)/2 of 1/2.  A column
+# of a Hermitian m - I/2 is no longer than its largest |eigenvalue|, so a
+# column longer than _ESCAPE puts an eigenvalue on a diverging orbit.
+_ESCAPE = 1.2
 
 
 def _free_block(sol: AffineSolutionSet):
@@ -218,9 +231,9 @@ def filter_projectors(sol: AffineSolutionSet, sp: ProductSpace,
     Only the blocks X of the set P_A + V X V^dagger (``_free_block``) are
     purified, as McWeeny maps P_A plus a block to P_A plus the purified
     block, so every survivor lies in the set.  Candidates (if given) are
-    compressed to F and purified first, then ``draws`` nullspace coordinate
-    points uniform in [-_BOX, _BOX]^nullity, in stacks of
-    ``_stack_size(f)`` blocks.
+    compressed to F by their Hermitian part (m + m^dagger) / 2 and purified
+    first, then ``draws`` nullspace coordinate points uniform in
+    [-_BOX, _BOX]^nullity, in stacks of ``_stack_size(f)`` blocks.
     Survivors are distinct and in a fixed order for a fixed seed; there are
     none when P_A is not a projector to ``_PROJECTOR_TOL``.
     """
@@ -238,7 +251,8 @@ def filter_projectors(sol: AffineSolutionSet, sp: ProductSpace,
             if all(np.max(np.abs(prev - m)) > 1e-8 for prev in found):
                 found.append(m)
 
-    consider(np.array([vh @ as_cmatrix(m) @ v for m in candidates]))
+    cands = [as_cmatrix(m) for m in candidates]
+    consider(np.array([vh @ ((m + m.conj().T) / 2) @ v for m in cands]))
     rng = np.random.default_rng(seed)
     stack = _stack_size(v.shape[1])
     for start in range(0, draws, stack):

@@ -195,14 +195,15 @@ def check4(E, G, L, T, Y, W, psi, tol=None, tol_nonzero=None):
 def conditional_probability(a, b, psi, tol=None):
     """p(a | b) = <psi| a b psi> / <psi| b psi> for commuting projectors.
 
-    Raises NonCommutingError when [a, b] is not numerically zero (the
-    ratio has no probability meaning then) and ZeroConditioningError when
-    the conditioning event has zero probability on psi.
+    Raises NonCommutingError when the Frobenius norm of [a, b] exceeds
+    the tolerance (the ratio has no probability meaning then) and
+    ZeroConditioningError when the conditioning event has zero
+    probability on psi.
     """
     t = tolerance(tol)
     psi = _normalized(psi)
     _conformable(psi, a, b)
-    if frobenius_norm(commutator(a, b)) > max(t, 1e-10):
+    if frobenius_norm(commutator(a, b)) > t:
         raise NonCommutingError("projectors do not commute; conditional probability undefined")
     bp = b @ psi
     denom = float(np.real(np.vdot(psi, bp)))

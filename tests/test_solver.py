@@ -319,7 +319,8 @@ def _loop_filter(sol, tol=1e-9, draws=10000, box=2.0, seed=0, candidates=(), siz
 
 
 def _mixed_starts(n, rng):
-    """Starts that converge, diverge past 1e6, turn non-finite or run out of steps."""
+    """Starts that converge, diverge past 1e6, turn non-finite, run out of
+    steps or are screened out before the first product."""
     h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, _ = np.linalg.qr(h)
     eye = np.eye(n, dtype=complex)
@@ -328,6 +329,11 @@ def _mixed_starts(n, rng):
         lam = np.where(np.arange(n) % 2, 1.0, 0.0) + rng.uniform(-spread, spread, n)
         starts.append((q * lam) @ q.conj().T)
     starts.append(np.diag(np.arange(n) % 2).astype(complex))  # a projector already
+    lam = np.where(np.arange(n) % 2, 1.0, 0.0)
+    lam[0] = 1.6                                              # within sqrt(5)/2 of 1/2: kept,
+    starts.append((q * lam) @ q.conj().T)                     # converges
+    lam[0] = 0.5 + 1.25                                       # a column of m - I/2 of length
+    starts.append(np.diag(lam).astype(complex))               # 1.25: screened
     starts.append(10 * eye)                                   # grows past 1e6
     starts.append(1e200 * eye)                                # overflows to inf/nan
     starts.append(np.full((n, n), np.nan, dtype=complex))     # non-finite from the start
@@ -355,16 +361,47 @@ def test_stacked_purification_matches_one_matrix_loop(n):
                 assert g.tobytes() == r.tobytes()
 
 
+@pytest.mark.parametrize("f", [1, 2, 4, 6])
+def test_screened_starts_all_diverge(f):
+    """Hermitian starts with spectra across 1/2 +- sqrt(5)/2: each one with a
+    column of m - I/2 longer than _ESCAPE fails in the unscreened loop too."""
+    rng = np.random.default_rng(60 + f)
+    starts = []
+    for _ in range(200):
+        q, _ = np.linalg.qr(rng.standard_normal((f, f)) + 1j * rng.standard_normal((f, f)))
+        starts.append((q * rng.uniform(-1.5, 2.5, f)) @ q.conj().T)
+    starts = np.array(starts)
+    screened = np.linalg.norm(starts - np.eye(f) / 2, axis=-2).max(axis=-1) > solver._ESCAPE
+    want = [_loop_purify(m) for m in starts]
+    kept_and_failed = [w is None for w, s in zip(want, screened) if not s]
+    assert screened.sum() >= 50 and any(kept_and_failed) and not all(kept_and_failed)
+    assert all(w is None for w, s in zip(want, screened) if s)
+    for g, w in zip(solver._purify(starts), want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.tobytes() == w.tobytes()
+
+
+def test_screen_needs_a_hermitian_start():
+    # a long column, yet nilpotent: the loop purifies it to 0 in two steps
+    m = np.array([[0, 100], [0, 0]], dtype=complex)
+    assert np.array_equal(_loop_purify(m), np.zeros((2, 2)))
+    assert solver._purify(m[None]) == [None]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
                             "ignore:overflow:RuntimeWarning")
 def test_stacked_purification_retires_by_each_test():
     eye = np.eye(3, dtype=complex)
-    stack = np.array([10 * eye, 1e200 * eye, 0.5 * eye, np.diag([1.0, 0, 1]).astype(complex)])
+    # 10 I, 1e200 I and NaN are screened out; 1.65 I passes the screen (a column
+    # of length 1.15) and exceeds 1e6 at its fifth step
+    stack = np.array([10 * eye, 1e200 * eye, np.full((3, 3), np.nan), 1.65 * eye,
+                      0.5 * eye, np.diag([1.0, 0, 1]).astype(complex)])
     got = solver._purify(stack)
-    assert got[:3] == [None, None, None]
-    assert got[3].tobytes() == stack[3].tobytes()
+    assert got[:5] == [None] * 5
+    assert got[5].tobytes() == stack[5].tobytes()
     # the 1/2 fixed point is still finite and bounded: only the step limit drops it
-    assert solver._purify(stack[2:3], max_iter=1000)[0] is None
+    assert solver._purify(stack[4:5], max_iter=1000)[0] is None
     assert solver._purify(np.empty((0, 3, 3), dtype=complex)) == []
     # a start first found converged after k - 1 steps is dropped with one step fewer
     slow = np.array([np.diag([0.5 + 1e-12, 0.5 - 1e-12, 1.0]).astype(complex)])
@@ -374,21 +411,22 @@ def test_stacked_purification_retires_by_each_test():
     assert solver._purify(slow, max_iter=k)[0].tobytes() == _loop_purify(slow[0], k).tobytes()
 
 
-def _state(name):
-    """(space, psi, cores by target) of a fixture or of a seeded family point."""
+def _state(name, seed=None):
+    """(space, psi, cores by target) of a fixture or of a family point drawn
+    with ``seed`` (by default 3 for family3, 4 for family4)."""
     if name == "family3":
-        p = random_family3(np.random.default_rng(3))
+        p = random_family3(np.random.default_rng(3 if seed is None else seed))
         return p.space(), family3.state(p), {"G": family3.core_projector(p)[0]}
     if name == "family4":
-        p = random_family4(np.random.default_rng(4))
+        p = random_family4(np.random.default_rng(4 if seed is None else seed))
         g, el, co = family4.core_projectors(p)
         return p.space(), family4.state(p, co), {"G": g, "L": el}
     fx = fixtures.fixture(name)
     return fx.space, fx.psi, {n[0]: c for n, c in fx.cores.items()}
 
 
-def _sets(name):
-    sp, psi, cores = _state(name)
+def _sets(name, seed=None):
+    sp, psi, cores = _state(name, seed)
     return sp, [(sol, cores[sol.name]) for sol in
                 solver.solve(solver.assemble(slit_projector(sp), psi, sp))]
 
@@ -428,6 +466,31 @@ def test_batched_filter_matches_one_at_a_time_across_batch_edges(with_core):
                 assert len(got) == len(want), (name, sol.name, draws)
                 for g, w in zip(got, want):
                     assert np.max(np.abs(g - w)) <= 1e-12, (name, sol.name, draws)
+
+
+@pytest.mark.parametrize("name, seed", [("spin32", None), ("dim10", None)]
+                         + [(f, s) for f in ("family3", "family4") for s in (None, 20, 21)])
+def test_screen_leaves_the_survivors_unchanged(name, seed, monkeypatch):
+    sp, sets = _sets(name, seed)
+    for sol, core in sets:
+        for search_seed, cands in ((0, []), (1, [core]), (7, [core])):
+            search = dict(draws=600, seed=search_seed, candidates=cands)
+            screened = solver.filter_projectors(sol, sp, **search)
+            with monkeypatch.context() as mp:
+                mp.setattr(solver, "_ESCAPE", np.inf)
+                plain = solver.filter_projectors(sol, sp, **search)
+            assert [m.tobytes() for m in screened] == [m.tobytes() for m in plain]
+
+
+def test_oblique_candidate_gives_a_hermitian_survivor(sys3):
+    fx, cs, (sol,) = sys3
+    p_a, v, _, _ = solver._free_block(sol)
+    vh = v.conj().T
+    _, u = np.linalg.eigh(vh @ fx.cores["G_I"] @ v)
+    y = u @ np.array([[0, 0.8], [0, 1]]) @ u.conj().T  # idempotent, not Hermitian
+    (m,) = solver.filter_projectors(sol, fx.space, draws=0, candidates=[p_a + v @ y @ vh])
+    assert is_hermitian(m, 1e-12) and is_idempotent(m, 1e-12)
+    assert cs.residual_of("G", m) < 1e-10
 
 
 # states on 2 x (1, 1, 1, 1) whose solution set is a single point, or empty

@@ -101,6 +101,16 @@ def test_conditional_probability_requires_commuting(b3):
         conditional_probability(b3.E, b3.G, b3.psi)
 
 
+def test_conditional_probability_applies_an_explicit_tolerance():
+    # [a, b] has Frobenius norm 2.8e-11: within 1e-10, not within 1e-15
+    a = np.diag([1.0, 0.0])
+    b = np.array([[0.5, 2e-11], [2e-11, 0.5]])
+    psi = np.array([1.0, 0.0])
+    with pytest.raises(NonCommutingError):
+        conditional_probability(a, b, psi, tol=1e-15)
+    assert conditional_probability(a, b, psi, tol=1e-10) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_conditional_probability_requires_positive_event(b3):
     zero = np.zeros((b3.space.dim, b3.space.dim))
     with pytest.raises(ZeroConditioningError):
