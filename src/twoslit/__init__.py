@@ -4,7 +4,7 @@ The package builds parametrized families of projector solutions in which
 commuting "detector" observables on an auxiliary factor reproduce, on a
 single entangled state, the outcomes of mutually incompatible projections
 — verifies all their defining conditions, cross-checks the closed forms
-against a brute-force constraint solver, and samples the joint outcome
+against a closed-form constraint solver, and samples the joint outcome
 statistics.
 """
 

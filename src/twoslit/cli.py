@@ -2,7 +2,8 @@
 
 Subcommands: generate3, generate4 (closed-form families), verify (check a
 bundle file), reproduce (regenerate a built-in fixture and diff it),
-solve (brute-force solution-set search) and simulate (seeded sampling).
+solve (closed-form solution sets, projector search) and simulate (seeded
+sampling).
 
 Exit codes: 0 success with all verifications passing, 1 a verification or
 reproduction failed (the report is still emitted), 2 usage or input
@@ -104,14 +105,16 @@ def _solver_inputs(args):
 def cmd_solve(args):
     sp, psi, cores = _solver_inputs(args)
     cs = solver.assemble(slit_projector(sp), psi, sp)
-    sols = solver.solve(cs)
     out = {"mode": cs.mode, "degenerate": cs.degenerate, "targets": []}
     worst = 0.0
-    for sol in sols:
-        entry = {"name": sol.name, "residual": sol.residual, "nullity": sol.nullity}
+    for sol in solver.solve(cs):
+        entry = {"name": sol.name, "exists": sol.exists,
+                 "orthogonality_residual": sol.orthogonality_residual,
+                 "residual": sol.residual, "free_dim": sol.free_dim, "nullity": sol.nullity,
+                 "rank_range": list(sol.rank_range)}
         core_name = f"{sol.name}_I"
         if core_name in cores:
-            entry["fixture_residual"] = cs.residual_of(sol.name, cores[core_name])
+            entry["fixture_residual"] = cs.tracking_residual(sol.name, cores[core_name])
             worst = max(worst, entry["fixture_residual"])
         if not args.no_filter:
             cands = [cores[core_name]] if core_name in cores else []
@@ -123,7 +126,7 @@ def cmd_solve(args):
                 entry["fixture_recovery_dist"] = float(min(
                     np.max(np.abs(m - cores[core_name])) for m in members))
         out["targets"].append(entry)
-        worst = max(worst, sol.residual)
+        worst = max(worst, sol.residual, sol.orthogonality_residual)
     _emit(args, out)
     return 0 if worst <= 1e-10 else 1
 

@@ -1,25 +1,34 @@
-"""Brute-force constraint solver, independent of the closed-form families.
+"""Constraint solver from the state alone, independent of the closed-form families.
 
 Given the which-slit projector E_I, a state psi whose detector pattern is
 consistent (T psi = E psi blockwise), and the block partition, the solver
-assembles the linear system a detector identity imposes on the entries of
-a Hermitian unknown (G_I from Y psi = G psi, and additionally L_I from
-W psi = L psi in 8-block mode), describes its full affine solution set,
-and finds its projectors by purifying only each member's free block.  It
-is the oracle that certifies the closed-form generators.
+finds every Hermitian G_I with Y psi = (G_I x 1) psi and, in 8-block mode,
+every L_I with W psi = (L_I x 1) psi, in closed form.  Write the state's
+rows as rows = psi.reshape(dim_i, dim_ii), and split its columns into R_Y,
+inside the detector's blocks, and R_N, outside them.  The identity reads
+G R_Y = R_Y and G R_N = 0, so with A = col(R_Y) and B = col(R_N) a
+solution exists if and only if A is orthogonal to B, and the solutions are
+then exactly P_A + V X V^dagger: V an orthonormal basis of
+F = (A + B)^perp and X any Hermitian block on F.  The projector search
+purifies only X.  It is the oracle that certifies the closed-form
+generators.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StateShapeError
-from .linalg import as_cmatrix, is_hermitian, is_idempotent
+from .errors import DimensionError, StateShapeError
+from .linalg import as_cmatrix
 from .space import ProductSpace, as_int, as_state, block_weights, detector_flags, slit_projector
+
+# Relative cut for "zero": of a norm against the state's, of a singular value
+# against the largest one, and of the largest cosine between A and B.
+_CUT = 1e-10
 
 
 def from_coords(c, n):
-    """Hermitian matrix from its ``coords`` coordinates; a stack of
+    """Hermitian matrix from its unit-basis coordinates; a stack of
     coordinate vectors of shape (..., n^2) gives a stack of matrices, and
     ``from_coords(np.eye(n * n), n)`` is the real basis of the n x n
     Hermitian matrices: n diagonal units, then for each i < j a symmetric
@@ -34,54 +43,58 @@ def from_coords(c, n):
     return m
 
 
-def coords(m):
-    """Coordinates of a Hermitian matrix: the diagonal, then the real and
-    imaginary part of each entry above it in row-major order."""
-    m = as_cmatrix(m)
-    n = m.shape[0]
-    upper = m[np.triu_indices(n, 1)]
-    c = np.empty(n * n)
-    c[:n] = m.diagonal().real
-    c[n::2] = upper.real
-    c[n + 1::2] = upper.imag
-    return c
-
-
 @dataclass
 class ConstraintSystem:
-    """One real system matrix, (2 * dim) x n^2, shared by every unknown core,
-    and a right-hand side per core: "G", then "L" in three-detector mode."""
+    """The state's rows, psi as a dim_i x dim_ii matrix, and per unknown
+    core ("G", then "L" in three-detector mode) the mask of the columns
+    inside the blocks of the detector that tracks it."""
 
     space: ProductSpace
-    matrix: np.ndarray
-    rhs: dict
+    rows: np.ndarray
+    masks: dict
     degenerate: bool
 
     @property
     def mode(self):
         return self.space.mode
 
-    def residual_of(self, name, m):
-        return float(np.linalg.norm(self.matrix @ coords(m) - self.rhs[name]))
+    def tracking_residual(self, name, m):
+        """||(m x 1) psi - D psi|| for the detector D tracking core ``name``."""
+        return float(np.linalg.norm(as_cmatrix(m) @ self.rows - self.rows * self.masks[name]))
 
 
 @dataclass
 class AffineSolutionSet:
-    """particular + span(nullspace) in ``coords`` coordinates."""
+    """The Hermitian solutions for one core: p_a + v X v^dagger for every
+    Hermitian X on F, when ``exists``; none otherwise, and then ``v`` and
+    ``rank_range`` bound no solution."""
 
     name: str
-    n: int
-    particular: np.ndarray       # coordinate vector
-    nullspace: np.ndarray        # orthonormal rows
-    residual: float              # least-squares residual of the particular
+    space: ProductSpace
+    p_a: np.ndarray                 # the projector onto A, the canonical member
+    v: np.ndarray                   # orthonormal columns spanning F
+    dim_a: int
+    dim_b: int
+    orthogonality_residual: float   # ||A^dagger B||_2, the largest cosine between A and B
+    residual: float                 # tracking residual of p_a
+
+    @property
+    def exists(self):
+        return self.orthogonality_residual <= _CUT
+
+    @property
+    def free_dim(self):
+        return self.v.shape[1]
 
     @property
     def nullity(self):
-        return self.nullspace.shape[0]
+        """Real dimension of the set: that of the Hermitian blocks X."""
+        return self.free_dim ** 2
 
-    def member(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return from_coords(self.particular + self.nullspace.T @ t, self.n)
+    @property
+    def rank_range(self):
+        """Lowest and highest rank of a projector in the set."""
+        return self.dim_a, self.space.dim_i - self.dim_b
 
 
 def _pattern_check(psi, sp, in_e, scale):
@@ -89,7 +102,7 @@ def _pattern_check(psi, sp, in_e, scale):
     t = np.array(detector_flags(sp, "T"), dtype=bool)
     forbidden = np.where(in_e[:, None], ~t, t)
     norms = np.sqrt(block_weights(psi, sp))
-    bad = np.argwhere(forbidden & (norms > 1e-10 * scale))
+    bad = np.argwhere(forbidden & (norms > _CUT * scale))
     if bad.size:
         j, k = bad[0]
         raise StateShapeError(
@@ -97,25 +110,8 @@ def _pattern_check(psi, sp, in_e, scale):
             "violating the detector support pattern")
 
 
-def _system_matrix(rows):
-    """The real matrix taking ``coords(G)`` to the real, then the imaginary
-    parts of ``(G @ rows).reshape(-1)``; column k is the k-th basis matrix
-    times ``rows``, written by the index arrays of ``from_coords``."""
-    n, m = rows.shape
-    iu, ju = np.triu_indices(n, 1)
-    diag, sym = np.arange(n), n + 2 * np.arange(len(iu))  # sym + 1: antisymmetric units
-    cols = np.zeros((n * n, n, m), dtype=complex)
-    cols[diag, diag] = rows
-    cols[sym, iu] = rows[ju]
-    cols[sym, ju] = rows[iu]
-    cols[sym + 1, iu] = 1j * rows[ju]
-    cols[sym + 1, ju] = -1j * rows[iu]
-    cols = cols.reshape(n * n, -1)
-    return np.concatenate([cols.real, cols.imag], axis=1).T
-
-
 def assemble(E_I, psi, sp: ProductSpace) -> ConstraintSystem:
-    """Linear system(s) whose Hermitian solutions reproduce the detector
+    """The constraints whose Hermitian solutions reproduce the detector
     outcomes: {G : Y psi = (G x 1) psi} and, in 8-block mode,
     {L : W psi = (L x 1) psi}.  ``E_I`` must be ``slit_projector(sp)`` and
     ``psi`` a finite state of length ``sp.dim``, else StateShapeError."""
@@ -128,35 +124,36 @@ def assemble(E_I, psi, sp: ProductSpace) -> ConstraintSystem:
     _pattern_check(psi, sp, np.arange(sp.dim_i) < sp.rank_e, scale)
 
     rows = psi.reshape(sp.dim_i, sp.dim_ii)
-    rhs = {}
-    for name, _, flags in sp.pairs[1:]:  # E_I is given: a right-hand side per core after it
-        rhs_c = (rows * np.repeat(flags, sp.partition)).reshape(-1)
-        rhs[name] = np.concatenate([rhs_c.real, rhs_c.imag])
+    # E_I is given: a mask per core after it
+    masks = {name: np.repeat(np.array(flags, dtype=bool), sp.partition)
+             for name, _, flags in sp.pairs[1:]}
+    slit, rest = np.split(rows, [sp.rank_e])
+    degenerate = bool(min(np.linalg.norm(slit), np.linalg.norm(rest)) <= _CUT * scale)
+    return ConstraintSystem(space=sp, rows=rows, masks=masks, degenerate=degenerate)
 
-    e_psi = (E_I @ rows).reshape(-1)
-    degenerate = bool(np.linalg.norm(e_psi) <= 1e-10 * scale
-                      or np.linalg.norm(psi - e_psi) <= 1e-10 * scale)
-    return ConstraintSystem(space=sp, matrix=_system_matrix(rows), rhs=rhs, degenerate=degenerate)
+
+def _column_basis(m):
+    """Orthonormal basis of the column space of m, singular values cut at
+    _CUT * max(s_0, 1)."""
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, s > _CUT * max(s[0] if s.size else 0.0, 1.0)]
 
 
 def solve(cs: ConstraintSystem):
-    """Affine solution set for each unknown core: minimum-norm least-squares
-    particular point plus an orthonormal basis of the homogeneous nullspace.
-
-    The cores share one system matrix, so one SVD with one rank cut serves
-    them all: the particular points from the kept singular triplets, the
-    nullspace from the rest of V^T (full only with fewer rows than unknowns).
-    """
-    a = cs.matrix
-    u, sv, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    smax = sv[0] if sv.size else 0.0
-    rank = int(np.sum(sv > 1e-10 * max(smax, 1.0)))
-    b = np.column_stack(list(cs.rhs.values()))
-    x0 = (b.T @ u[:, :rank] / sv[:rank]) @ vt[:rank]  # one particular point per row
-    return [AffineSolutionSet(
-        name=name, n=cs.space.dim_i, particular=x, nullspace=vt[rank:],
-        residual=float(np.linalg.norm(a @ x - rhs)))
-        for (name, rhs), x in zip(cs.rhs.items(), x0)]
+    """The solution set of each unknown core, from two thin SVDs (bases of
+    A and B) and one complete QR of [A B], whose trailing columns span F."""
+    sets = []
+    for name, mask in cs.masks.items():
+        a, b = _column_basis(cs.rows[:, mask]), _column_basis(cs.rows[:, ~mask])
+        q, _ = np.linalg.qr(np.hstack([a, b]), mode="complete")
+        p_a = a @ a.conj().T
+        cross = a.conj().T @ b
+        sets.append(AffineSolutionSet(
+            name=name, space=cs.space, p_a=p_a, v=q[:, a.shape[1] + b.shape[1]:],
+            dim_a=a.shape[1], dim_b=b.shape[1],
+            orthogonality_residual=float(np.linalg.norm(cross, 2)) if cross.size else 0.0,
+            residual=cs.tracking_residual(name, p_a)))
+    return sets
 
 
 def _purify(m, max_iter=200, stop=1e-13):
@@ -195,28 +192,13 @@ def _purify(m, max_iter=200, stop=1e-13):
 # Matrix entries purified as one stack: bounds memory for any draw count
 # (1024 free blocks at f = 4, 4096 at f = 2).
 _STACK_ENTRIES = 1 << 14
-_BOX = 2.0             # half-width of the centered box of nullspace coordinates drawn
-_PROJECTOR_TOL = 1e-9  # of the projector predicates the fixed part P_A must pass
+_BOX = 2.0  # half-width of the centered box of block coordinates drawn
 # With y = x - 1/2 a step maps an eigenvalue y to 3y/2 - 2y^3, of modulus
 # |y| (2y^2 - 3/2) > |y| once |y| > sqrt(5)/2 ~ 1.118, a ratio that grows
 # each step: every bounded orbit stays within sqrt(5)/2 of 1/2.  A column
 # of a Hermitian m - I/2 is no longer than its largest |eigenvalue|, so a
 # column longer than _ESCAPE puts an eigenvalue on a diverging orbit.
 _ESCAPE = 1.2
-
-
-def _free_block(sol: AffineSolutionSet):
-    """``(P_A, V, x0, c)`` of the set P_A + V X V^dagger: V's orthonormal
-    columns span the subspace F every nullspace direction H_k acts on (the
-    range of sum_k H_k^2), P_A is the particular point with its F part cut,
-    and the member at coordinates t has the block x0 + tensordot(t, c, 1)."""
-    h = from_coords(sol.nullspace, sol.n)
-    w, u = np.linalg.eigh((h @ h).sum(axis=0))
-    v = u[:, w > 1e-10 * w[-1]]
-    vh = v.conj().T
-    g0 = from_coords(sol.particular, sol.n)
-    q = np.eye(sol.n) - v @ vh
-    return q @ g0 @ q, v, vh @ g0 @ v, vh @ h @ v
 
 
 def _stack_size(f):
@@ -226,23 +208,26 @@ def _stack_size(f):
 
 def filter_projectors(sol: AffineSolutionSet, sp: ProductSpace,
                       draws=10000, seed=0, candidates=()):
-    """Projector members of an affine solution set.
+    """Projector members of a solution set ``sol`` solved on the space ``sp``.
 
-    Only the blocks X of the set P_A + V X V^dagger (``_free_block``) are
-    purified, as McWeeny maps P_A plus a block to P_A plus the purified
-    block, so every survivor lies in the set.  Candidates (if given) are
-    compressed to F by their Hermitian part (m + m^dagger) / 2 and purified
-    first, then ``draws`` nullspace coordinate points uniform in
+    Only the blocks X of the set P_A + V X V^dagger are purified, as
+    McWeeny maps P_A plus a block to P_A plus the purified block, so every
+    survivor lies in the set.  Candidates (if given) are compressed to F by
+    their Hermitian part (m + m^dagger) / 2 and purified first, then
+    ``draws`` blocks whose coordinates (``from_coords``) are uniform in
     [-_BOX, _BOX]^nullity, in stacks of ``_stack_size(f)`` blocks.
     Survivors are distinct and in a fixed order for a fixed seed; there are
-    none when P_A is not a projector to ``_PROJECTOR_TOL``.
+    none when the set is empty.  A space other than ``sol.space`` raises
+    DimensionError.
     """
     draws = as_int(draws, "draws", lo=0)
     seed = as_int(seed, "seed", lo=0)
-    p_a, v, x0, c = _free_block(sol)
-    if not (is_hermitian(p_a, _PROJECTOR_TOL) and is_idempotent(p_a, _PROJECTOR_TOL)):
+    if sp != sol.space:
+        raise DimensionError(f"solution set of {sol.name} was solved on {sol.space}, not {sp}")
+    if not sol.exists:
         return []
-    vh, found = v.conj().T, []
+    p_a, v, f, found = sol.p_a, sol.v, sol.free_dim, []
+    vh = v.conj().T
 
     def consider(blocks):
         # a point set (F = 0) has empty blocks, each a projector already
@@ -254,8 +239,8 @@ def filter_projectors(sol: AffineSolutionSet, sp: ProductSpace,
     cands = [as_cmatrix(m) for m in candidates]
     consider(np.array([vh @ ((m + m.conj().T) / 2) @ v for m in cands]))
     rng = np.random.default_rng(seed)
-    stack = _stack_size(v.shape[1])
+    stack = _stack_size(f)
     for start in range(0, draws, stack):
-        t = rng.uniform(-_BOX, _BOX, size=(min(stack, draws - start), sol.nullity))
-        consider(x0 + np.tensordot(t, c, 1))
+        t = rng.uniform(-_BOX, _BOX, size=(min(stack, draws - start), f * f))
+        consider(from_coords(t, f))
     return found

@@ -3,7 +3,7 @@
 Each test pins one deliverable of the package: exact reproduction of the
 two stored reference solutions, the full condition suite on both
 families, a randomized sweep over the two-detector family, independent
-recovery of the cores by the brute-force solver, the diagonal-anchor
+recovery of the cores by the constraint solver, the diagonal-anchor
 regression, correlation detection on the three-detector family, and the
 seeded sampling run.  Timing guards are part of the contract.
 """
@@ -107,8 +107,8 @@ def test_criterion_5_solver_recovers_cores():
     fx3 = fixtures.fixture("spin32")
     cs = solver.assemble(slit_projector(fx3.space), fx3.psi, fx3.space)
     (sol,) = solver.solve(cs)
-    assert sol.residual < 1e-10
-    assert cs.residual_of("G", fx3.cores["G_I"]) < 1e-10
+    assert sol.exists and sol.residual < 1e-10
+    assert cs.tracking_residual("G", fx3.cores["G_I"]) < 1e-10
     members = solver.filter_projectors(sol, fx3.space, draws=1000,
                                        candidates=[fx3.cores["G_I"]])
     assert members, "projector search found nothing"
@@ -118,8 +118,8 @@ def test_criterion_5_solver_recovers_cores():
     cs4 = solver.assemble(slit_projector(fx4.space), fx4.psi, fx4.space)
     sols = {s.name: s for s in solver.solve(cs4)}
     for name, core in (("G", fx4.cores["G_I"]), ("L", fx4.cores["L_I"])):
-        assert sols[name].residual < 1e-10
-        assert cs4.residual_of(name, core) < 1e-10
+        assert sols[name].exists and sols[name].residual < 1e-10
+        assert cs4.tracking_residual(name, core) < 1e-10
         recovered = solver.filter_projectors(sols[name], fx4.space, draws=0,
                                              candidates=[core])
         assert recovered and np.max(np.abs(recovered[0] - core)) < 1e-9

@@ -12,6 +12,7 @@ from twoslit.space import ProductSpace
 from twoslit.verify import verify_bundle
 
 from test_simulate import GOLDEN
+from test_solver import _generic_state as generic_state
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +137,8 @@ def test_solve_fixture(capsys):
     assert rc == 0
     (target,) = payload["targets"]
     assert target["name"] == "G" and target["nullity"] == 4
+    assert target["exists"] is True and target["free_dim"] == 2
+    assert target["orthogonality_residual"] <= 1e-12 and target["rank_range"] == [2, 4]
     assert target["residual"] < 1e-10
     assert target["fixture_residual"] < 1e-10
     assert target["projectors_found"] >= 1
@@ -170,6 +173,21 @@ def test_solve_on_a_single_point_set(capsys, tmp_path):
     (target,) = payload["targets"]
     assert target["nullity"] == 0 and target["residual"] == 0.0
     assert target["projectors_found"] == 1 and target["projector_traces"] == [1.0]
+
+
+@pytest.mark.parametrize("no_filter", [(), ("--no-filter",)], ids=["search", "no-filter"])
+def test_solve_without_a_solution_exits_1(capsys, tmp_path, no_filter):
+    sp = ProductSpace(10, (2, 2, 2, 2))
+    psi_path, space_path = tmp_path / "psi.json", tmp_path / "space.json"
+    jsonio.write_json(psi_path, jsonio.vector_to_json(generic_state(sp, 0)))
+    jsonio.write_json(space_path, jsonio.space_to_json(sp))
+    rc, payload = run_json(capsys, "solve", "--psi", str(psi_path), "--space", str(space_path),
+                           "--draws", "20", *no_filter)
+    assert rc == 1
+    (target,) = payload["targets"]
+    assert target["exists"] is False and target["orthogonality_residual"] > 1e-3
+    assert target["residual"] > 1e-10
+    assert target.get("projectors_found", 0) == 0
 
 
 def _write_indented(path, obj):

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import projector_rank
 from twoslit import family3, fixtures
 from twoslit.errors import ParamRangeError, SeedError
-from twoslit.linalg import is_hermitian, is_idempotent, projector_rank
+from twoslit.linalg import is_hermitian, is_idempotent
 from twoslit.verify import check3, detect_correlations
 
 REF = fixtures.fixture("spin32")

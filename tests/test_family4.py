@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import projector_rank
 from twoslit import family4, fixtures
 from twoslit.errors import DimensionError, ParamRangeError, SeedError
-from twoslit.linalg import is_hermitian, is_idempotent, projector_rank
+from twoslit.linalg import is_hermitian, is_idempotent
 from twoslit.verify import check4, detect_correlations, verify_bundle
 
 REF = fixtures.fixture("dim10")

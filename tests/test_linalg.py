@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import projector_rank
 from twoslit import linalg
 from twoslit.errors import DimensionError, FormatError
 
@@ -45,12 +46,12 @@ def test_random_projector_trace_is_integer_rank():
         proj = vecs[:, :k] @ vecs[:, :k].conj().T
         assert linalg.is_hermitian(proj, 1e-12)
         assert linalg.is_idempotent(proj, 1e-12)
-        assert linalg.projector_rank(proj) == k
+        assert projector_rank(proj) == k
 
 
 def test_projector_rank_rejects_non_integer_trace():
     with pytest.raises(DimensionError):
-        linalg.projector_rank(np.diag([0.4, 0.3]))
+        projector_rank(np.diag([0.4, 0.3]))
 
 
 def test_tolerance_env_override(monkeypatch):
@@ -94,7 +95,7 @@ def test_tolerance_rejects_a_bad_explicit_value(monkeypatch, bad):
     with pytest.raises(FormatError):
         linalg.is_idempotent(np.eye(2), bad)
     with pytest.raises(FormatError):  # a NaN bound would accept any trace
-        linalg.projector_rank(np.diag([0.4, 0.3]), bad)
+        projector_rank(np.diag([0.4, 0.3]), bad)
 
 
 def test_projector_predicates_read_the_environment(monkeypatch):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import linear_system as ls
 from test_family3 import _random_params as random_family3
 from test_family4 import _random_params as random_family4
 from twoslit import family3, family4, fixtures, solver
@@ -87,7 +88,7 @@ def test_coordinate_map_matches_loop_reference(n):
         ref = _loop_from_coords(stack[idx], n)
         assert np.array_equal(mats[idx], ref)
         assert np.array_equal(solver.from_coords(stack[idx], n), ref)
-        assert np.array_equal(solver.coords(ref), _loop_coords(ref))
+        assert np.array_equal(ls.coords(ref), _loop_coords(ref))
     basis, ref = solver.from_coords(np.eye(n * n), n), _loop_basis(n)
     assert len(basis) == len(ref) == n * n
     assert all(np.array_equal(b, r) for b, r in zip(basis, ref))
@@ -97,26 +98,35 @@ def test_coords_roundtrip():
     rng = np.random.default_rng(2)
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = h + h.conj().T
-    assert np.max(np.abs(solver.from_coords(solver.coords(h), 4) - h)) < 1e-14
+    assert np.max(np.abs(solver.from_coords(ls.coords(h), 4) - h)) < 1e-14
 
 
 def test_reference_system_solution(sys3):
     fx, cs, sols = sys3
     assert cs.mode == 3 and not cs.degenerate
     (sol,) = sols
-    assert sol.name == "G"
-    assert sol.residual < 1e-12
-    assert sol.nullity == 4
-    assert cs.residual_of("G", fx.cores["G_I"]) < 1e-12
+    assert sol.name == "G" and sol.exists
+    assert sol.residual < 1e-12 and sol.orthogonality_residual < 1e-12
+    assert (sol.dim_a, sol.dim_b, sol.free_dim, sol.nullity) == (2, 2, 2, 4)
+    assert sol.rank_range == (2, 4)
+    assert cs.tracking_residual("G", fx.cores["G_I"]) < 1e-12
+    assert ls.LinearSystem(cs).residual_of("G", fx.cores["G_I"]) < 1e-12
+
+
+def _member(sol, t):
+    """The member p_a + v X v^dagger with X = from_coords(t)."""
+    return sol.p_a + sol.v @ solver.from_coords(t, sol.free_dim) @ sol.v.conj().T
 
 
 def test_members_satisfy_system(sys3):
     fx, cs, (sol,) = sys3
+    oracle = ls.LinearSystem(cs)
     rng = np.random.default_rng(8)
     for _ in range(5):
-        m = sol.member(rng.uniform(-2, 2, sol.nullity))
+        m = _member(sol, rng.uniform(-2, 2, sol.nullity))
         assert is_hermitian(m, 1e-12)
-        assert cs.residual_of("G", m) < 1e-10
+        assert cs.tracking_residual("G", m) < 1e-10
+        assert oracle.residual_of("G", m) < 1e-10
 
 
 def test_filter_recovers_stored_core_from_candidate(sys3):
@@ -133,7 +143,7 @@ def test_blind_filter_finds_projectors(sys3):
     assert len(found) >= 1
     for m in found:
         assert is_hermitian(m, 1e-9) and is_idempotent(m, 1e-9)
-        assert cs.residual_of("G", m) < 1e-8
+        assert cs.tracking_residual("G", m) < 1e-8
     again = solver.filter_projectors(sol, fx.space, draws=800, seed=1)
     assert len(again) == len(found)
     assert all(np.array_equal(a, b) for a, b in zip(found, again))
@@ -142,7 +152,7 @@ def test_blind_filter_finds_projectors(sys3):
 def test_blind_filter_survivors_and_their_order(sys3):
     fx, cs, (sol,) = sys3
     found = solver.filter_projectors(sol, fx.space, draws=800, seed=1)
-    assert [round(float(np.trace(m).real), 9) for m in found] == [4, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3]
+    assert [round(float(np.trace(m).real), 9) for m in found] == [3, 2, 3, 3, 3, 3, 4, 3, 3, 3, 3]
 
 
 def test_filter_with_nothing_to_do(sys3):
@@ -163,7 +173,8 @@ def test_zero_state_gives_unconstrained_system():
     cs = solver.assemble(slit_projector(fx.space), np.zeros(fx.space.dim), fx.space)
     (sol,) = solver.solve(cs)
     assert cs.degenerate
-    assert sol.nullity == 36
+    assert sol.exists and sol.free_dim == 6 and sol.nullity == 36
+    assert sol.rank_range == (0, 6)
     assert sol.residual < 1e-14
 
 
@@ -218,9 +229,10 @@ def test_three_detector_system_solution(sys4):
     assert set(by_name) == {"G", "L"}
     for name, core in (("G", fx.cores["G_I"]), ("L", fx.cores["L_I"])):
         sol = by_name[name]
-        assert sol.residual < 1e-10
-        assert sol.nullity == 16
-        assert cs.residual_of(name, core) < 1e-12
+        assert sol.exists and sol.residual < 1e-10
+        assert sol.free_dim == 4 and sol.nullity == 16
+        assert cs.tracking_residual(name, core) < 1e-12
+        assert ls.LinearSystem(cs).residual_of(name, core) < 1e-12
         found = solver.filter_projectors(sol, fx.space, draws=0, candidates=[core])
         assert len(found) == 1
         assert np.max(np.abs(found[0] - core)) < 1e-9
@@ -228,10 +240,11 @@ def test_three_detector_system_solution(sys4):
 
 def test_one_factorisation_matches_per_target_solves(sys4):
     _, cs, sols = sys4
-    assert list(cs.rhs) == [sol.name for sol in sols] == ["G", "L"]
-    _, sv, vt = np.linalg.svd(cs.matrix)
-    for rhs, sol in zip(cs.rhs.values(), sols):
-        x0, *_ = np.linalg.lstsq(cs.matrix, rhs, rcond=None)
+    oracle = ls.LinearSystem(cs)
+    assert list(cs.masks) == list(oracle.rhs) == [sol.name for sol in sols] == ["G", "L"]
+    _, sv, vt = np.linalg.svd(oracle.matrix)
+    for rhs, sol in zip(oracle.rhs.values(), oracle.solve()):
+        x0, *_ = np.linalg.lstsq(oracle.matrix, rhs, rcond=None)
         assert np.max(np.abs(sol.particular - x0)) < 1e-12
         ref = vt[vt.shape[0] - sol.nullity:]
         assert np.max(np.abs(sol.nullspace.T @ sol.nullspace - ref.T @ ref)) < 1e-12
@@ -250,7 +263,7 @@ def test_system_matrix_equals_the_basis_product(n):
     rng = np.random.default_rng(n)
     for m in (1, 3, 7):
         rows = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-        assert np.array_equal(solver._system_matrix(rows), _basis_product_matrix(rows))
+        assert np.array_equal(ls.system_matrix(rows), _basis_product_matrix(rows))
 
 
 @pytest.mark.parametrize("name", ["spin32", "dim10"])
@@ -258,20 +271,22 @@ def test_assembled_matrix_equals_the_basis_product_on_fixtures(name):
     fx = fixtures.fixture(name)
     cs = solver.assemble(slit_projector(fx.space), fx.psi, fx.space)
     rows = fx.psi.reshape(fx.space.dim_i, fx.space.dim_ii)
-    assert np.array_equal(cs.matrix, _basis_product_matrix(rows))
+    assert np.array_equal(cs.rows, rows)
+    assert np.array_equal(ls.LinearSystem(cs).matrix, _basis_product_matrix(rows))
 
 
-def test_assemble_memory_stays_near_the_matrix_size():
-    sp = ProductSpace(30, (1, 1, 1, 1))
+def test_assemble_memory_stays_near_the_state_size():
+    sp = ProductSpace(200, (50, 50, 50, 50))
+    psi = np.zeros(sp.dim, dtype=complex)
     tracemalloc.start()
     try:
-        cs = solver.assemble(slit_projector(sp), np.zeros(sp.dim, dtype=complex), sp)
+        cs = solver.assemble(slit_projector(sp), psi, sp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the matrix is 1.7 MB; the n^2 basis matrices alone would be 13 MB
-    assert cs.matrix.nbytes == 2 * sp.dim * 30 ** 2 * 8
-    assert peak < 3 * cs.matrix.nbytes
+    # the state is 640 kB; the n^2-unknown system matrix would be 26 GB
+    assert cs.rows.size == psi.size
+    assert peak < 3 * psi.nbytes
 
 
 def _loop_purify(m, max_iter=200, stop=1e-13):
@@ -286,8 +301,9 @@ def _loop_purify(m, max_iter=200, stop=1e-13):
     return None
 
 
-def _loop_filter(sol, tol=1e-9, draws=10000, box=2.0, seed=0, candidates=(), sizes=None):
-    """filter_projectors one starting point at a time, on _loop_purify.
+def _loop_filter(cs, sol, tol=1e-9, draws=10000, box=2.0, seed=0, candidates=(), sizes=None):
+    """filter_projectors one whole member at a time, on _loop_purify, keeping
+    the projectors that meet the detector identity to 1e-8.
 
     A list passed as ``sizes`` receives the survivor count after the
     candidates and after each draw: the search with k draws returns the
@@ -295,25 +311,23 @@ def _loop_filter(sol, tol=1e-9, draws=10000, box=2.0, seed=0, candidates=(), siz
     """
     found = []
     sizes = [] if sizes is None else sizes
+    v, vh = sol.v, sol.v.conj().T
 
     def consider(m):
         m = _loop_purify(m)
         if m is None or not (is_hermitian(m, tol) and is_idempotent(m, tol)):
             return
-        delta = solver.coords(m) - sol.particular
-        if np.linalg.norm(delta - sol.nullspace.T @ (sol.nullspace @ delta)) > max(tol, 1e-8):
+        if cs.tracking_residual(sol.name, m) > max(tol, 1e-8):
             return
         if all(np.max(np.abs(prev - m)) > 1e-8 for prev in found):
             found.append(m)
 
-    for cand in candidates:  # the closest member in coordinates
-        delta = solver.coords(cand) - sol.particular
-        consider(solver.from_coords(sol.particular + sol.nullspace.T @ (sol.nullspace @ delta),
-                                    sol.n))
+    for cand in candidates:  # the closest member
+        consider(sol.p_a + v @ (vh @ ((cand + cand.conj().T) / 2) @ v) @ vh)
     sizes.append(len(found))
     rng = np.random.default_rng(seed)
     for _ in range(draws):
-        consider(sol.member(rng.uniform(-box, box, size=sol.nullity)))
+        consider(_member(sol, rng.uniform(-box, box, size=sol.nullity)))
         sizes.append(len(found))
     return found
 
@@ -427,39 +441,95 @@ def _state(name, seed=None):
 
 def _sets(name, seed=None):
     sp, psi, cores = _state(name, seed)
-    return sp, [(sol, cores[sol.name]) for sol in
-                solver.solve(solver.assemble(slit_projector(sp), psi, sp))]
+    cs = solver.assemble(slit_projector(sp), psi, sp)
+    return sp, cs, [(sol, cores[sol.name]) for sol in solver.solve(cs)]
 
 
 @pytest.mark.parametrize("name", ["spin32", "dim10", "family3", "family4"])
 def test_free_block_splits_the_solution_set(name):
-    sp, sets = _sets(name)
+    sp, cs, sets = _sets(name)
+    oracle = {o.name: o for o in ls.LinearSystem(cs).solve()}
     rng = np.random.default_rng(9)
     for sol, core in sets:
-        p_a, v, x0, c = solver._free_block(sol)
-        f = v.shape[1]
+        p_a, v, f = sol.p_a, sol.v, sol.free_dim
         assert f == (2 if sp.mode == 3 else 4) and sol.nullity == f * f
         vh = v.conj().T
         assert np.max(np.abs(vh @ v - np.eye(f))) < 1e-12
         assert is_hermitian(p_a, 1e-12) and is_idempotent(p_a, 1e-12)
         assert np.max(np.abs(p_a @ v)) < 1e-12
-        h = solver.from_coords(sol.nullspace, sol.n)
+        # the linear system's set splits the same way, through the eigh of sum_k H_k^2
+        o = oracle[sol.name]
+        h = solver.from_coords(o.nullspace, o.n)
         assert np.max(np.abs(v @ (vh @ h @ v) @ vh - h)) < 1e-12
-        assert c.shape == (sol.nullity, f, f)
-        for t in rng.uniform(-2, 2, size=(3, sol.nullity)):
-            assert np.max(np.abs(x0 + np.tensordot(t, c, 1) - vh @ sol.member(t) @ v)) < 1e-12
+        p_old, v_old, x0, c = ls.free_block(o)
+        assert np.max(np.abs(p_a - p_old)) < 1e-12
+        assert np.max(np.abs(v @ vh - v_old @ v_old.conj().T)) < 1e-12
+        assert c.shape == (o.nullity, f, f)
+        for t in rng.uniform(-2, 2, size=(3, o.nullity)):
+            m = o.member(t)
+            assert np.max(np.abs(p_a + v @ (vh @ m @ v) @ vh - m)) < 1e-12
         assert np.max(np.abs(p_a + v @ (vh @ core @ v) @ vh - core)) < 1e-12
+
+
+@pytest.mark.parametrize("name, seed", [("spin32", None), ("dim10", None)]
+                         + [(f, s) for f in ("family3", "family4") for s in (None, 20, 21)])
+def test_closed_form_agrees_with_the_linear_system(name, seed):
+    sp, cs, sets = _sets(name, seed)
+    oracle = ls.LinearSystem(cs)
+    by_name = {o.name: o for o in oracle.solve()}
+    for sol, core in sets:
+        o, v, vh = by_name[sol.name], sol.v, sol.v.conj().T
+        assert sol.exists and sol.orthogonality_residual <= 1e-12 and o.residual <= 1e-12
+        assert o.nullity == sol.free_dim ** 2 == sol.nullity
+        for m in (sol.p_a, sol.p_a + v @ vh):  # the least and the largest member
+            assert oracle.residual_of(sol.name, m) <= 1e-12
+        assert np.max(np.abs(sol.p_a + v @ (vh @ core @ v) @ vh - core)) <= 1e-12
+        lo, hi = sol.rank_range
+        assert lo == round(np.trace(sol.p_a).real) <= round(np.trace(core).real) <= hi
+
+
+def _generic_state(sp, seed):
+    """A random unit state with the detector support pattern T psi = E psi."""
+    rng = np.random.default_rng(seed)
+    shape = (sp.dim_i, sp.dim_ii)
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    t = np.repeat(np.array(detector_flags(sp, "T"), dtype=bool), sp.partition)
+    rows[:sp.rank_e, ~t] = 0
+    rows[sp.rank_e:, t] = 0
+    return rows.reshape(-1) / np.linalg.norm(rows)
+
+
+@pytest.mark.parametrize("partition", [(2, 2, 2, 2), (1,) * 8], ids=["4-block", "8-block"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generic_state_has_no_solution(partition, seed):
+    sp = ProductSpace(10, partition)
+    cs = solver.assemble(slit_projector(sp), _generic_state(sp, seed), sp)
+    for sol, o in zip(solver.solve(cs), ls.LinearSystem(cs).solve()):
+        assert not sol.exists and sol.orthogonality_residual > 1e-3
+        # no Hermitian matrix meets the identity: the least-squares residual is far from 0
+        assert o.residual > 1e-3 and sol.residual >= o.residual - 1e-12
+        assert solver.filter_projectors(sol, sp, draws=50, candidates=[sol.p_a]) == []
+
+
+def test_search_needs_the_space_it_was_solved_on(sys3):
+    fx, _, (sol,) = sys3
+    for other in (ProductSpace(6, (2, 1, 1, 1)), ProductSpace(8, (1, 1, 1, 1)),
+                  fixtures.fixture("dim10").space):
+        with pytest.raises(DimensionError, match="solved on"):
+            solver.filter_projectors(sol, other, draws=10)
+    same = ProductSpace(6, (1, 1, 1, 1))
+    assert len(solver.filter_projectors(sol, same, draws=0, candidates=[fx.cores["G_I"]])) == 1
 
 
 @pytest.mark.parametrize("with_core", [False, True], ids=["blind", "candidate"])
 def test_batched_filter_matches_one_at_a_time_across_batch_edges(with_core):
     for name in ("spin32", "dim10", "family3"):
-        sp, sets = _sets(name)
+        sp, cs, sets = _sets(name)
         for sol, core in sets:
             cands = [core] if with_core else []
-            b = solver._stack_size(solver._free_block(sol)[1].shape[1])
+            b = solver._stack_size(sol.free_dim)
             sizes = []
-            every = _loop_filter(sol, draws=b + 1, seed=1, candidates=cands, sizes=sizes)
+            every = _loop_filter(cs, sol, draws=b + 1, seed=1, candidates=cands, sizes=sizes)
             for draws in (0, 1, 800, b - 1, b, b + 1):
                 got = solver.filter_projectors(sol, sp, draws=draws, seed=1, candidates=cands)
                 want = every[:sizes[draws]]
@@ -471,7 +541,7 @@ def test_batched_filter_matches_one_at_a_time_across_batch_edges(with_core):
 @pytest.mark.parametrize("name, seed", [("spin32", None), ("dim10", None)]
                          + [(f, s) for f in ("family3", "family4") for s in (None, 20, 21)])
 def test_screen_leaves_the_survivors_unchanged(name, seed, monkeypatch):
-    sp, sets = _sets(name, seed)
+    sp, _, sets = _sets(name, seed)
     for sol, core in sets:
         for search_seed, cands in ((0, []), (1, [core]), (7, [core])):
             search = dict(draws=600, seed=search_seed, candidates=cands)
@@ -484,17 +554,17 @@ def test_screen_leaves_the_survivors_unchanged(name, seed, monkeypatch):
 
 def test_oblique_candidate_gives_a_hermitian_survivor(sys3):
     fx, cs, (sol,) = sys3
-    p_a, v, _, _ = solver._free_block(sol)
+    p_a, v = sol.p_a, sol.v
     vh = v.conj().T
     _, u = np.linalg.eigh(vh @ fx.cores["G_I"] @ v)
     y = u @ np.array([[0, 0.8], [0, 1]]) @ u.conj().T  # idempotent, not Hermitian
     (m,) = solver.filter_projectors(sol, fx.space, draws=0, candidates=[p_a + v @ y @ vh])
     assert is_hermitian(m, 1e-12) and is_idempotent(m, 1e-12)
-    assert cs.residual_of("G", m) < 1e-10
+    assert cs.tracking_residual("G", m) < 1e-10
 
 
 # states on 2 x (1, 1, 1, 1) whose solution set is a single point, or empty
-# (an inconsistent system), and the zero state, which constrains nothing
+# (A and B overlap), and the zero state, which constrains nothing
 SMALL = ProductSpace(2, (1, 1, 1, 1))
 SINGLE_POINT = np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2)
 INCONSISTENT = np.array([0.5, 0.5, 0, 0, 0, 0, 0.5, 0.5])
@@ -506,11 +576,12 @@ INCONSISTENT = np.array([0.5, 0.5, 0, 0, 0, 0, 0.5, 0.5])
 ], ids=["single-point", "inconsistent"])
 def test_filter_on_a_single_point_set(psi, want):
     sp = SMALL
-    (sol,) = solver.solve(solver.assemble(slit_projector(sp), psi, sp))
-    assert sol.nullity == 0
+    cs = solver.assemble(slit_projector(sp), psi, sp)
+    (sol,) = solver.solve(cs)
+    assert sol.nullity == 0 and sol.exists == bool(want)
     for draws in (1, 100):
         for found in (solver.filter_projectors(sol, sp, draws=draws),
-                      _loop_filter(sol, draws=draws)):
+                      _loop_filter(cs, sol, draws=draws)):
             assert [m.tolist() for m in found] == [m.tolist() for m in want]
     assert solver.filter_projectors(sol, sp, draws=0) == []
 
@@ -531,8 +602,8 @@ def test_particular_point_lies_in_the_row_space(name):
         states = [(p.space(), family.state(p))
                   for p in (draw(np.random.default_rng(seed)) for seed in range(10, 15))]
     for sp, psi in states:
-        for sol in solver.solve(solver.assemble(slit_projector(sp), psi, sp)):
-            assert np.linalg.norm(sol.nullspace @ sol.particular) <= 1e-12, (name, sol.name)
+        for o in ls.LinearSystem(solver.assemble(slit_projector(sp), psi, sp)).solve():
+            assert np.linalg.norm(o.nullspace @ o.particular) <= 1e-12, (name, o.name)
 
 
 def test_negative_draw_count_rejected(sys3):

@@ -221,5 +221,5 @@ def test_bundles_solver_and_wire_follow_the_pairs_table():
             assert np.array_equal(getattr(bundle, d), lift_right(block_projector(sp, f), sp))
         cores = [f"{p}_I" for p in props[1:]]
         assert [c for c in ("G_I", "L_I") if getattr(bundle, c) is not None] == cores
-        assert list(solver.assemble(slit_projector(sp), bundle.psi, sp).rhs) == list(props[1:])
+        assert list(solver.assemble(slit_projector(sp), bundle.psi, sp).masks) == list(props[1:])
         assert list(jsonio.bundle_to_json(bundle)["core"]) == cores
