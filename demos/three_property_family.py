@@ -4,7 +4,8 @@ Three pairwise-incompatible properties (the slit projector E and the two
 lifted cores G, L) are read off one entangled state by three commuting
 detectors T, Y, W.  This family is the smallest known point of the
 construction with three properties; it also exhibits detector
-correlations, unlike the two-detector family.
+correlations, unlike the two-detector family.  The report is the one
+``twoslit verify`` prints: ``verify_bundle`` checked on the factors.
 
 Run:  python3 demos/three_property_family.py
 """
@@ -13,7 +14,7 @@ import numpy as np
 
 from twoslit import family4, fixtures
 from twoslit.linalg import frobenius_norm, commutator
-from twoslit.verify import check4, detect_correlations
+from twoslit.verify import verify_bundle
 
 fx = fixtures.fixture("dim10")
 co = family4.derive_coefficients(fx.params)
@@ -39,15 +40,15 @@ for name, a, b in (("[E,G]", bundle.E, bundle.G),
                    ("[G,L]", bundle.G, bundle.L)):
     print(f"  ||{name}|| = {frobenius_norm(commutator(a, b)):.4f}")
 
-report = check4(bundle.E, bundle.G, bundle.L, bundle.T, bundle.Y, bundle.W, bundle.psi)
+report = verify_bundle(bundle)
 print("\ncondition report:")
 for e in report.entries:
-    print(f"  {e.name:5s} [{e.kind:7s}] residual {e.residual:.3e}  "
+    print(f"  {e.name:13s} [{e.kind:7s}] residual {e.residual:.3e}  "
           f"{'pass' if e.passed else 'FAIL'}")
 print(f"all passed: {report.passed}")
 
 print("\ndetector correlations on this state:")
-for f in detect_correlations(bundle):
+for f in report.correlation_findings:
     print(f"  {f.identity}   (residual {f.residual:.3e})")
 print("here a null W outcome forces the Y outcome: the three detections")
 print("fire simultaneously but are not informationally independent.")

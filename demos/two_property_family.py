@@ -3,7 +3,8 @@
 Builds the 6x6 core projector G_I, lifts everything to the 24-dimensional
 product space, and checks the defining conditions: the slit projector E and
 G are incompatible, yet the right-factor detectors T and Y read them both
-off the entangled state simultaneously.
+off the entangled state simultaneously.  The report is the one
+``twoslit verify`` prints: ``verify_bundle`` checked on the factors.
 
 Run:  python3 demos/two_property_family.py
 """
@@ -11,7 +12,7 @@ Run:  python3 demos/two_property_family.py
 import numpy as np
 
 from twoslit import family3, fixtures
-from twoslit.verify import check3, detect_correlations
+from twoslit.verify import verify_bundle
 
 fx = fixtures.fixture("spin32")
 params = fx.params
@@ -30,15 +31,14 @@ with np.printoptions(precision=4, suppress=True, linewidth=120):
 print(f"\nmax |G_I^2 - G_I| = {np.max(np.abs(bundle.G_I @ bundle.G_I - bundle.G_I)):.3e}")
 print(f"matches stored reference to {np.max(np.abs(bundle.G_I - fx.cores['G_I'])):.3e}")
 
-report = check3(bundle.E, bundle.G, bundle.T, bundle.Y, bundle.psi, space=bundle.space)
+report = verify_bundle(bundle)
 print("\ncondition report:")
 for e in report.entries:
-    print(f"  {e.name:4s} [{e.kind:10s}] residual {e.residual:.3e}  "
+    print(f"  {e.name:13s} [{e.kind:10s}] residual {e.residual:.3e}  "
           f"{'pass' if e.passed else 'FAIL'}")
 print(f"all passed: {report.passed}")
 
-findings = detect_correlations(bundle)
-print(f"\ndetector correlations found: {len(findings)} "
+print(f"\ndetector correlations found: {len(report.correlation_findings)} "
       "(independent detections on this family)")
 
 # the same construction works at any admissible parameter point
@@ -52,5 +52,5 @@ for _ in range(5):
     p = k + rng.uniform(0.1, 0.9) / s
     b = family3.build(family3.Family3Params(p=p, mu2=mu2, mu3=mu3,
                                             lambda2=lam2, lambda3=lam3))
-    r = check3(b.E, b.G, b.T, b.Y, b.psi)
-    print(f"  p={p:.4f}  q={b.derived['q']:.4f}  all conditions pass: {r.passed}")
+    print(f"  p={p:.4f}  q={b.derived['q']:.4f}  "
+          f"all conditions pass: {verify_bundle(b).passed}")

@@ -115,7 +115,7 @@ def cmd_solve(args):
         core_name = f"{sol.name}_I"
         if core_name in cores:
             entry["fixture_residual"] = cs.tracking_residual(sol.name, cores[core_name])
-            worst = max(worst, entry["fixture_residual"])
+            worst = np.max([worst, entry["fixture_residual"]])
         if not args.no_filter:
             cands = [cores[core_name]] if core_name in cores else []
             members = solver.filter_projectors(sol, sp, draws=args.draws, seed=args.seed,
@@ -126,7 +126,7 @@ def cmd_solve(args):
                 entry["fixture_recovery_dist"] = float(min(
                     np.max(np.abs(m - cores[core_name])) for m in members))
         out["targets"].append(entry)
-        worst = max(worst, sol.residual, sol.orthogonality_residual)
+        worst = np.max([worst, sol.residual, sol.orthogonality_residual])
     _emit(args, out)
     return 0 if worst <= 1e-10 else 1
 

@@ -4,16 +4,28 @@ Every defining condition of a candidate solution is evaluated numerically
 and reported with its residual.  Equality conditions pass when the
 residual is at most the equality tolerance; "nonzero" conditions (the
 incompatibility requirements) pass when the residual *exceeds* a separate
-nonzeroness threshold, so they cannot be satisfied by numerical dust.
+nonzeroness threshold, so they cannot be satisfied by numerical dust.  A
+non-finite residual fails, and maxima of residuals are taken with numpy,
+which keeps a NaN (Python's ``max(0.0, nan)`` is 0.0).
 
-``verify_bundle`` evaluates the conditions on the factors when every
-operator is bit for bit a lift ``a (x) 1`` or ``1 (x) b``: with
+``verify_bundle`` checks every bundle on its factors.  It reads each
+property's H_I core off the first stripe, ``op[::dim_ii, ::dim_ii]``, and
+each detector's H_II core off the first diagonal block,
+``op[:dim_ii, :dim_ii]``, and measures the lift residual
+``max|op - lift(core)|``: exactly 0 for a lift ``a (x) 1`` or ``1 (x) b``,
+NaN for a NaN entry.  The conditions are read off the cores: with
 ``rows = psi.reshape(dim_i, dim_ii)``, ``(a (x) 1) psi`` is ``a @ rows``,
 ``(1 (x) b) psi`` is ``rows @ b.T``, ``||[a (x) 1, c (x) 1]||_F`` is
-``sqrt(dim_ii) ||[a, c]||_F`` and ``[a (x) 1, 1 (x) b]`` vanishes.  Any
-other bundle goes through the dense checks of ``check3``/``check4``.  Both
-paths build their entries with one generator over the space's (property,
-detector) pairs and scan one correlation catalog.
+``sqrt(dim_ii) ||[a, c]||_F`` and ``[a (x) 1, 1 (x) b]`` vanishes.
+``projector(X)`` is the largest of the Hermiticity and idempotence
+residuals of X's core and X's lift residual; with 4 blocks the structural
+``C.6`` is the detectors' largest lift residual.  So an operator that is
+not a lift, a tampered one say, fails its ``projector(X)`` (and ``C.6``).
+
+``check3``, ``check4`` and ``detect_correlations`` evaluate the same
+conditions and catalog on dense operators, at a cost cubic in the
+dimension.  They are the dense reference the tests compare against;
+``verify_bundle`` does not call them.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +36,6 @@ import numpy as np
 from .errors import DimensionError, NonCommutingError, ZeroConditioningError
 from .linalg import (as_cmatrix, as_cvector, commutator, default_nonzero_tol, frobenius_norm,
                      tolerance)
-from .space import lift_right
 
 
 @dataclass
@@ -47,7 +58,6 @@ class VerificationReport:
     tol: float
     tol_nonzero: float
     correlation_findings: list = field(default_factory=list)
-    method: str = "dense"  # "factored" | "dense": which path produced the entries
 
     @property
     def passed(self):
@@ -67,7 +77,6 @@ class VerificationReport:
             "tol": self.tol,
             "tol_nonzero": self.tol_nonzero,
             "passed": self.passed,
-            "method": self.method,
             "conditions": [
                 {"name": e.name, "kind": e.kind, "residual": e.residual, "pass": e.passed}
                 for e in self.entries
@@ -102,6 +111,12 @@ def _eq(name, residual, tol):
 
 def _nonzero(name, residual, tol_nz):
     return CheckEntry(name, "nonzero", float(residual), bool(residual > tol_nz))
+
+
+def _structural(residuals, tol):
+    """C.6: the largest of the detectors' lift residuals, NaN kept."""
+    residual = np.max(residuals)
+    return CheckEntry("C.6", "structural", float(residual), bool(residual <= tol))
 
 
 def _dense_act(op, psi):
@@ -154,31 +169,25 @@ def check3(E, G, T, Y, psi, tol=None, tol_nonzero=None, space=None):
     C.3  [Y,G] = 0 and Y psi = G psi;
     C.4  [T,Y] = 0;
     C.5  E psi and G psi differ from both 0 and psi (non-triviality);
-    C.6  (when ``space`` is given) T and Y act on the right factor only.
+    C.6  (when ``space`` is given) T and Y act on the right factor only:
+         their largest lift residual.
+
+    The dense test reference for ``verify_bundle``, which does not call
+    it; ``bench/tracing.py`` traces it by name.
     """
     return _dense_report([E, G], [T, Y], psi, tol, tol_nonzero, space)
 
 
 def _dense_report(props, dets, psi, tol, tol_nonzero, space=None):
     """The dense report for ``props`` paired in order with ``dets``; with ``space``,
-    also the structural C.6: every detector acts on the right factor only."""
+    also the structural C.6, the detectors' largest lift residual."""
     t, tnz = tolerance(tol), default_nonzero_tol(tol_nonzero)
     psi = _normalized(psi)
     _conformable(psi, *props, *dets)
     entries = _conditions(props, dets, psi, t, tnz)
     if space is not None:
-        res = max(_right_factor_residual(d, space) for d in dets)
-        entries.append(CheckEntry("C.6", "structural", float(res), bool(res <= t)))
+        entries.append(_structural([_lift_residual(d, space, False)[1] for d in dets], t))
     return VerificationReport(entries=entries, tol=t, tol_nonzero=tnz)
-
-
-def _right_factor_residual(op, space):
-    """How far op is from identity (x) (its leading right-factor block)."""
-    op = as_cmatrix(op)
-    d2 = space.dim_ii
-    if op.shape != (space.dim, space.dim):
-        raise DimensionError(f"operator shape {op.shape} does not match space dim {space.dim}")
-    return float(np.max(np.abs(op - lift_right(op[:d2, :d2], space))))
 
 
 def check4(E, G, L, T, Y, W, psi, tol=None, tol_nonzero=None):
@@ -188,6 +197,9 @@ def check4(E, G, L, T, Y, W, psi, tol=None, tol_nonzero=None):
     C.4-C.6  T, Y, W track E, G, L on psi while commuting with them;
     C.7-C.9  pairwise compatibility of T, Y, W;
     C.10     non-triviality of E psi, G psi, L psi.
+
+    The dense test reference for ``verify_bundle``, which does not call
+    it; ``bench/tracing.py`` traces it by name.
     """
     return _dense_report([E, G, L], [T, Y, W], psi, tol, tol_nonzero)
 
@@ -245,7 +257,9 @@ def detect_correlations(bundle, tol=None):
 
     A returned finding means one detector's outcome constrains another's,
     i.e. the detections are not informationally independent.  An empty
-    list certifies the non-correlated branch.
+    list certifies the non-correlated branch.  This is the dense test
+    reference: ``verify_bundle`` scans the same catalog on the detectors'
+    cores and does not call it; ``bench/tracing.py`` traces it by name.
     """
     t = tolerance(tol)
     idents = _catalog(_dense_act, _normalized(bundle.psi), bundle.T, bundle.Y,
@@ -253,87 +267,70 @@ def detect_correlations(bundle, tol=None):
     return _findings(idents, t)
 
 
-def _projector_residual(m):
-    m = as_cmatrix(m)
-    return max(float(np.max(np.abs(m - m.conj().T))), float(np.max(np.abs(m @ m - m))))
+def _projector_residual(core, lift_residual):
+    """Hermiticity and idempotence of ``core``, and how far its operator is from its lift."""
+    herm, idem = np.max(np.abs(core - core.conj().T)), np.max(np.abs(core @ core - core))
+    return np.maximum(np.maximum(herm, idem), lift_residual)
 
 
-def _lift_core(op, sp, left):
-    """The factor that ``op`` lifts, when ``op`` equals it lifted bit for bit.
+def _lift_residual(op, sp, left):
+    """(core, max|op - lift(core)|) for the core on ``op``'s first stripe.
 
     ``left`` selects ``core (x) 1`` (core ``op[::dim_ii, ::dim_ii]``),
-    otherwise ``1 (x) core`` (core ``op[:dim_ii, :dim_ii]``).  Every entry
-    the lift fixes to the core must equal it exactly and every other entry
-    must be zero, so a non-finite entry or a one-ulp change anywhere gives
-    None.
+    otherwise ``1 (x) core`` (core ``op[:dim_ii, :dim_ii]``).  The residual
+    is exactly 0 for an exact lift, which costs no subtraction, and NaN for
+    a NaN entry.  It is read off the stripes and the count of nonzero
+    entries, without building the lift.
     """
-    op = np.asarray(op, dtype=complex)
+    op = as_cmatrix(op)
     if op.shape != (sp.dim, sp.dim):
-        return None
-    n, m = sp.dim_i, sp.dim_ii
-    blocks = op.reshape(n, m, n, m)
-    if left:  # kept[i, j, k] = op[i*m + k, j*m + k]
-        core, kept = op[::m, ::m], np.diagonal(blocks, axis1=1, axis2=3)
-    else:     # kept[k, l, i] = op[i*m + k, i*m + l]
-        core, kept = op[:m, :m], np.diagonal(blocks, axis1=0, axis2=2)
-    if not np.isfinite(core).all() or not (kept == core[:, :, None]).all():
-        return None
-    if np.count_nonzero(op) != np.count_nonzero(kept):
-        return None
-    return core.copy()
-
-
-def _factors(bundle, props, dets):
-    """Name -> core for an exactly lifted bundle with a finite state, else None."""
-    sp = bundle.space
-    psi = np.asarray(bundle.psi, dtype=complex)
-    if psi.shape != (sp.dim,) or not np.isfinite(psi).all():
-        return None
-    cores = {}
-    for name in props + dets:
-        cores[name] = _lift_core(getattr(bundle, name), sp, name in props)
-        if cores[name] is None:
-            return None
-    return cores
+        raise DimensionError(f"operator shape {op.shape} does not match space dim {sp.dim}")
+    # pairs[k, l] is op's block between H_II indices k, l (left) or H_I indices (right);
+    # the lift puts the core on every stripe pairs[k, k] and zeros elsewhere
+    pairs = op.reshape(sp.dim_i, sp.dim_ii, sp.dim_i, sp.dim_ii).transpose(
+        (1, 3, 0, 2) if left else (0, 2, 1, 3))
+    core, stripes = pairs[0, 0].copy(), np.diagonal(pairs)  # stripes[:, :, k] = pairs[k, k]
+    off_stripes = np.count_nonzero(op) != np.count_nonzero(stripes)
+    if not off_stripes and (stripes == core[:, :, None]).all():
+        return core, 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, which fails
+        residual = np.max(np.abs(stripes - core[:, :, None]))
+    if off_stripes:
+        off = np.abs(pairs)
+        k = np.arange(len(off))
+        off[k, k] = 0.0
+        residual = np.max([residual, np.max(off)])
+    return core, float(residual)
 
 
 def verify_bundle(bundle, tol=None, tol_nonzero=None):
-    """Full report for a solution bundle.
+    """Full report for a solution bundle, checked on its cores.
 
-    Runs the applicable condition list, then appends one "projector"
-    precondition per operator (Hermiticity + idempotence residual, so a
-    tampered operator entry is caught even where the detector identities
-    are blind to it) and the correlation scan.
-
-    A bundle whose operators are all exact lifts of their factors is
-    checked on the factors (``method == "factored"``); any other bundle
-    (non-product, tampered, wrongly shaped or non-finite) gets the dense
-    ``check3``/``check4`` evaluation (``method == "dense"``).  Both paths
-    take the (property, detector) pairs from ``bundle.space``, draw their
-    entries from one condition generator and their findings from one
-    correlation catalog.  The structural C.6 is checked on 4 blocks only.
+    Runs the condition list of the bundle's mode on the cores and the
+    state's rows, then appends one ``projector(X)`` entry per operator
+    (Hermiticity and idempotence of its core and its lift residual, so a
+    tampered entry is caught even where the conditions are blind to it)
+    and the correlation scan.  With 4 blocks the structural C.6 is the
+    detectors' largest lift residual.  The (property, detector) pairs come
+    from ``bundle.space``.  An operator of the wrong shape or a state of
+    the wrong length raises DimensionError.
     """
     sp = bundle.space
+    t, tnz = tolerance(tol), default_nonzero_tol(tol_nonzero)
     props, dets, _ = zip(*sp.pairs)
-    structural = len(sp.partition) == 4
-    cores = _factors(bundle, props, dets)
-    if cores is None:
-        ops = {name: getattr(bundle, name) for name in props + dets}
-        report = _dense_report([ops[name] for name in props], [ops[name] for name in dets],
-                               bundle.psi, tol, tol_nonzero, sp if structural else None)
-        report.correlation_findings = detect_correlations(bundle, tol=tol)
-    else:
-        ops = cores
-        t, tnz = tolerance(tol), default_nonzero_tol(tol_nonzero)
-        rows = _normalized(bundle.psi).reshape(sp.dim_i, sp.dim_ii)
-        det_cores = [cores[name] for name in dets]
-        entries = _conditions([cores[name] for name in props], det_cores, rows, t, tnz,
-                              factored=True)
-        if structural:  # the exact-lift gate has settled it
-            entries.append(CheckEntry("C.6", "structural", 0.0, True))
-        report = VerificationReport(
-            entries=entries, tol=t, tol_nonzero=tnz, method="factored",
-            correlation_findings=_findings(_catalog(_factor_act, rows, *det_cores), t))
-    report.entries += [_eq(f"projector({name})", _projector_residual(op), report.tol)
-                       for name, op in ops.items()]
-    return report
+    lifts = {name: _lift_residual(getattr(bundle, name), sp, name in props)
+             for name in props + dets}
+    psi = _normalized(bundle.psi)
+    if psi.shape != (sp.dim,):
+        raise DimensionError(f"state length {psi.shape[0]} does not match space dim {sp.dim}")
+    rows = psi.reshape(sp.dim_i, sp.dim_ii)
+    det_cores = [lifts[name][0] for name in dets]
+    entries = _conditions([lifts[name][0] for name in props], det_cores, rows, t, tnz,
+                          factored=True)
+    if len(sp.partition) == 4:
+        entries.append(_structural([lifts[name][1] for name in dets], t))
+    entries += [_eq(f"projector({name})", _projector_residual(core, residual), t)
+                for name, (core, residual) in lifts.items()]
+    return VerificationReport(entries=entries, tol=t, tol_nonzero=tnz,
+                              correlation_findings=_findings(_catalog(_factor_act, rows,
+                                                                      *det_cores), t))

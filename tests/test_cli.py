@@ -313,13 +313,44 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert sum(map(sum, payload["counts"])) == 1000
 
 
-def test_reports_name_the_verification_method(capsys, tmp_path):
+def _off_block_t(blob, delta):
+    """Raise T[0, dim_ii] of a generated bundle file's data, an entry outside
+    every diagonal block, by ``delta``."""
+    bundle = blob["bundle"]
+    m = sum(bundle["space"]["partition"])
+    T = bundle["operators"]["T"]
+    assert T["data"][2 * m] == 0.0
+    T["data"][2 * m] += delta  # the real part of row 0, column m
+    return blob
+
+
+def test_verify_fails_a_tampered_detector_on_its_projector_entry(capsys, tmp_path):
     path = tmp_path / "b4.json"
-    rc, _, _ = run_cli(capsys, "generate4", "--out", str(path))
-    assert rc == 0
-    assert json.loads(path.read_text())["report"]["method"] == "factored"
-    rc, payload = run_json(capsys, "verify", "--bundle", str(path))
-    assert rc == 0 and payload["method"] == "factored"
+    assert run_cli(capsys, "generate4", "--out", str(path))[0] == 0
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(_off_block_t(json.loads(path.read_text()), 1e-9)))
+    rc, payload = run_json(capsys, "verify", "--bundle", str(tampered))
+    assert rc == 1 and payload["failing"] == ["projector(T)"]
+    assert "method" not in payload
+    rc, payload = run_json(capsys, "verify", "--bundle", str(tampered), "--tol", "1e-6")
+    assert rc == 0 and payload["failing"] == []
+
+
+@pytest.mark.parametrize("key, size", [("G", 20), ("psi", 20)], ids=["operator", "state"])
+def test_verify_a_wrong_size_exits_2(capsys, tmp_path, key, size):
+    path = tmp_path / "b3.json"
+    assert run_cli(capsys, "generate3", "--out", str(path))[0] == 0
+    blob = json.loads(path.read_text())["bundle"]
+    if key == "psi":
+        blob["psi"] = {"dim": size, "data": blob["psi"]["data"][:2 * size]}
+    else:
+        blob["operators"][key] = {"rows": size, "cols": size,
+                                  "data": blob["operators"][key]["data"][:2 * size * size]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    rc, out, err = run_cli(capsys, "verify", "--bundle", str(bad))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "does not match" in err
 
 
 def test_generate4_zero_divisor_exits_2_without_traceback(capsys, tmp_path):

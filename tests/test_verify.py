@@ -181,5 +181,19 @@ def test_non_finite_state_fails_every_condition_on_psi(name, failing):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a NaN state fails its checks without a numpy warning
         report = verify_bundle(dataclasses.replace(bundle, psi=psi))
-    assert report.method == "dense"
     assert report.failing() == failing
+
+
+def test_a_nan_detector_entry_survives_every_maximum(b3):
+    # Y's core holds the NaN, so C.3 and C.4 fail, and its lift residual is
+    # NaN: C.6, the maximum over T's 0.0 and that NaN, must fail too (Python's
+    # max(0.0, nan) would be 0.0), in verify_bundle and in the dense check3.
+    Y = b3.Y.copy()
+    Y[0, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = verify_bundle(dataclasses.replace(b3, Y=Y))
+        dense = check3(b3.E, b3.G, b3.T, Y, b3.psi, space=b3.space)
+    assert report.failing() == ["C.3", "C.4", "C.6", "projector(Y)"]
+    assert dense.failing() == ["C.3", "C.4", "C.6"]
+    assert np.isnan(report.entry("C.6").residual) and np.isnan(dense.entry("C.6").residual)

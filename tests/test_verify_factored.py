@@ -1,9 +1,12 @@
-"""The factored verification path against the dense checks it replaces.
+"""Verification on the factors against the dense checks it replaces.
 
-verify_bundle reads every condition off the n x n and m x m factors when
-each operator is bit for bit a lift of its factor.  The dense check3 /
-check4 evaluation, plus the projector preconditions and the correlation
-catalog on the lifted operators, is the oracle here.
+verify_bundle reads every condition off the n x n and m x m cores on the
+operators' first stripes and adds each operator's lift residual to its
+projector entry.  The dense check3 / check4 evaluation, plus the projector
+preconditions and the correlation catalog on the lifted operators, is the
+oracle here, for exact lifts and for tampered ones.  The tests pass with
+``-W error::RuntimeWarning``, as CI runs them, and the tamper corpus turns
+RuntimeWarnings into errors itself.
 """
 
 import dataclasses
@@ -75,7 +78,7 @@ def _dense_report(bundle, tol=None):
     entries = [(e.name, e.kind, e.residual, e.passed) for e in report.entries]
     for name in names:
         op = getattr(bundle, name)
-        residual = max(np.max(np.abs(op - op.conj().T)), np.max(np.abs(op @ op - op)))
+        residual = np.max([np.max(np.abs(op - op.conj().T)), np.max(np.abs(op @ op - op))])
         entries.append((f"projector({name})", "eq", float(residual),
                         bool(residual <= report.tol)))
     findings = [(f.identity, f.residual) for f in detect_correlations(bundle, tol=tol)]
@@ -84,7 +87,6 @@ def _dense_report(bundle, tol=None):
 
 def _assert_matches_dense(bundle, tol=None):
     report = verify_bundle(bundle, tol=tol)
-    assert report.method == "factored"
     entries, findings = _dense_report(bundle, tol=tol)
     assert [(e.name, e.kind, e.passed) for e in report.entries] == \
         [(name, kind, passed) for name, kind, _, passed in entries]
@@ -134,45 +136,131 @@ def test_arbitrary_lifts_match_dense(name):
 
 @pytest.mark.parametrize("name", ["spin32", "dim10"])
 def test_json_round_trip_stays_factored(name):
+    # The bundle read back is still an exact lift: every lift residual is 0
+    # and the report is the one of the bundle written.
     bundle = fixtures.fixture_bundle(name)
     blob = json.loads(json.dumps(jsonio.bundle_to_json(bundle)))
     report = verify_bundle(jsonio.bundle_from_json(blob))
-    assert report.method == "factored"
     assert report.passed
-    assert report.to_dict()["method"] == "factored"
+    assert report.to_dict() == verify_bundle(bundle).to_dict()
+    assert "method" not in report.to_dict()
 
 
-def test_one_ulp_off_block_falls_back_to_dense():
-    bundle = fixtures.fixture_bundle("dim10")
+def _site(sp, left, where, rng):
+    """(row, col) of one entry of a left (``a (x) 1``) or right (``1 (x) b``)
+    lift: on the core's stripe, on another stripe, or off the stripes.
+
+    Entry (i*m + k, j*m + l) lies on a stripe of a left lift when k == l,
+    the core's being k == l == 0, and of a right lift when i == j.
+    """
+    n, m = sp.dim_i, sp.dim_ii
+    stripes, free = (m, n) if left else (n, m)
+    if where == "core stripe":
+        s = t = 0
+    elif where == "another stripe":
+        s = t = int(rng.integers(1, stripes))
+    else:
+        s = int(rng.integers(0, stripes))
+        t = (s + int(rng.integers(1, stripes))) % stripes
+    f, g = (int(x) for x in rng.integers(0, free, size=2))
+    i, j, k, l = (f, g, s, t) if left else (s, t, f, g)
+    return i * m + k, j * m + l
+
+
+_TAMPERS = (lambda z: z + 1e-9, lambda z: z + 1e-6, lambda z: np.nan)
+_WHERE = ("core stripe", "another stripe", "off the stripes")
+
+
+def _corpus_bundle(which):
+    if which in ("spin32", "dim10"):
+        return fixtures.fixture_bundle(which)
+    name, index = which.split("-")
+    family, draw, seed = {"family3": (family3, _random_params3, 621),
+                          "family4": (family4, _random_params4, 622)}[name]
+    rng = np.random.default_rng(seed)
+    for _ in range(int(index)):
+        draw(rng)
+    return family.build(draw(rng))
+
+
+@pytest.mark.parametrize("which", ["spin32", "dim10", "family3-0", "family3-1", "family3-2",
+                                   "family4-0", "family4-1", "family4-2"])
+def test_tampered_bundles_fail_as_the_dense_oracle_does(which):
+    # Each operator gets one entry raised by 1e-9 or 1e-6, or set to NaN, on
+    # the core's stripe, on another stripe or off the stripes: 9 cases per
+    # operator.  The verdict is the dense oracle's, and the tampered
+    # operator's projector entry fails.
+    bundle = _corpus_bundle(which)
+    props, dets, _ = zip(*bundle.space.pairs)
+    rng = np.random.default_rng(623)
+    cases = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name in props + dets:
+            for tamper in _TAMPERS:
+                for where in _WHERE:
+                    op = getattr(bundle, name).copy()
+                    entry = _site(bundle.space, name in props, where, rng)
+                    op[entry] = tamper(op[entry])
+                    tampered = dataclasses.replace(bundle, **{name: op})
+                    report = verify_bundle(tampered)
+                    entries, _ = _dense_report(tampered)
+                    assert report.passed == all(passed for *_, passed in entries)
+                    assert not report.entry(f"projector({name})").passed, (name, where)
+                    cases += 1
+    assert cases == 9 * len(props + dets)
+
+
+@pytest.mark.parametrize("name, op, failing", [
+    ("spin32", "T", ["C.6", "projector(T)"]),
+    ("dim10", "T", ["projector(T)"]),
+    ("dim10", "W", ["projector(W)"]),
+])
+def test_an_off_block_detector_entry_fails_only_its_projector_entry(name, op, failing):
+    # 1e-9 outside every diagonal block leaves the cores untouched, so every
+    # condition holds; the lift residual fails projector(op), and on 4 blocks
+    # also C.6.  On 8 blocks, which have no C.6, it is what requires a
+    # detector to be 1 (x) b.
+    bundle = fixtures.fixture_bundle(name)
     m = bundle.space.dim_ii
-    T = bundle.T.copy()
-    assert T[0, m] == 0  # H_I row 0 against column 1: outside every diagonal block
-    T[0, m] = np.nextafter(0.0, 1.0)
-    tampered = dataclasses.replace(bundle, T=T)
-    report = verify_bundle(tampered)
-    assert report.method == "dense"
-    entries, _ = _dense_report(tampered)
-    assert report.failing() == [name for name, _, _, passed in entries if not passed]
+    tampered = getattr(bundle, op).copy()
+    assert tampered[m, 0] == 0  # H_I row 1 against column 0
+    tampered[m, 0] += 1e-9
+    report = verify_bundle(dataclasses.replace(bundle, **{op: tampered}))
+    assert report.failing() == failing
+    assert report.entry(f"projector({op})").residual == 1e-9
 
 
 @pytest.mark.parametrize("op", ["G", "T"])
 def test_one_ulp_in_a_repeated_entry_falls_back_to_dense(op):
     # A lift repeats each core entry; nudging one copy breaks the product.
+    # The cores read the untouched copy, so the lift residual alone fails
+    # projector(op), and the verdict is the dense oracle's.
     bundle = fixtures.fixture_bundle("spin32")
     m = bundle.space.dim_ii
     entry = (0, m) if op == "G" else (m + 1, m + 1)  # G_I[0, 1], copy 0; T_II[1, 1], copy 1
     tampered = getattr(bundle, op).copy()
     tampered[entry] = np.nextafter(tampered[entry].real, 2.0) + 1j * tampered[entry].imag
-    assert verify_bundle(dataclasses.replace(bundle, **{op: tampered})).method == "dense"
+    tampered_bundle = dataclasses.replace(bundle, **{op: tampered})
+    report = verify_bundle(tampered_bundle)
+    entries, _ = _dense_report(tampered_bundle)
+    assert report.entry(f"projector({op})").residual > 0
+    assert report.passed == all(passed for *_, passed in entries)
 
 
 def test_non_finite_state_falls_back_to_dense():
+    # A NaN state fails on the cores what it fails in the dense check3.
     bundle = fixtures.fixture_bundle("spin32")
     psi = bundle.psi.copy()
     psi[0] = np.nan
+    tampered = dataclasses.replace(bundle, psi=psi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a NaN state fails its checks without a numpy warning
-        assert verify_bundle(dataclasses.replace(bundle, psi=psi)).method == "dense"
+        report = verify_bundle(tampered)
+    dense = check3(tampered.E, tampered.G, tampered.T, tampered.Y, psi, space=tampered.space)
+    assert not report.passed
+    assert [e.name for e in report.entries if e.name.startswith("C.") and not e.passed] == \
+        dense.failing()
 
 
 _LABELS = {
@@ -190,16 +278,15 @@ _LABELS = {
 
 @pytest.mark.parametrize("name", ["spin32", "dim10"])
 def test_condition_labels_on_both_paths(name):
-    # Both paths share one condition generator, so comparing them cannot
-    # catch a wrong label or order; this literal list can.
+    # Exact and tampered bundles share one condition generator, so comparing
+    # them cannot catch a wrong label or order; this literal list can.
     bundle = fixtures.fixture_bundle(name)
     m = bundle.space.dim_ii
     T = bundle.T.copy()
     assert T[0, m] == 0
     T[0, m] = np.nextafter(0.0, 1.0)
-    for probe, method in ((bundle, "factored"), (dataclasses.replace(bundle, T=T), "dense")):
+    for probe in (bundle, dataclasses.replace(bundle, T=T)):
         report = verify_bundle(probe)
-        assert report.method == method
         assert [(e.name, e.kind) for e in report.entries] == _LABELS[name]
 
 
