@@ -6,8 +6,9 @@ solve (closed-form solution sets, projector search) and simulate (seeded
 sampling).
 
 Exit codes: 0 success with all verifications passing, 1 a verification or
-reproduction failed (the report is still emitted), 2 usage or input
-errors.  JSON goes to stdout unless --out is given.  The equality
+reproduction failed (the report is still emitted), 2 a usage error or a
+TwoSlitError or OSError (bad input); any other exception is a bug and
+propagates.  JSON goes to stdout unless --out is given.  The equality
 tolerance (finite, >= 0) defaults to 1e-12, overridden per call by --tol
 or globally by the TWOSLIT_TOL environment variable.  solve checks its
 residuals against 1e-10 and simulate checks nothing; neither takes --tol.
@@ -222,10 +223,7 @@ def main(argv=None):
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except KeyError as exc:
-        print(f"error: missing key {exc}", file=sys.stderr)
-        return 2
-    except (TwoSlitError, OSError, ValueError) as exc:
+    except (TwoSlitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,12 @@ indented and arrays on one line; input may use any JSON whitespace.
 ``data`` array as an owned float64 array, again without a Python float
 per entry that is ``0.0``; the decoders take such an array as it is.  It
 reads any other layout through ``json.load``, with the values (lists)
-and errors that ``json.load`` gives.
+that ``json.load`` gives.
+
+``read_json`` raises ``FormatError`` for text that is not JSON (with the
+message of ``json.load``, whose exception is its ``__cause__``), and the
+``*_from_json`` readers for a missing key or a value of the wrong type or
+form; a bad size or shape raises DimensionError.
 """
 
 import json
@@ -36,13 +41,16 @@ from .space import ProductSpace, SolutionBundle, as_int
 
 
 def _reading(from_json):
-    """Report a value of the wrong JSON type (a null where a number or an
-    object belongs, a list for an object) as FormatError."""
+    """Report a missing key, or a value of the wrong JSON type or form (a
+    null where a number or an object belongs, a list for an object, a
+    string or an integer past 1e308 for a float), as FormatError."""
     @wraps(from_json)
     def read(*args):
         try:
             return from_json(*args)
-        except (TypeError, AttributeError) as exc:
+        except KeyError as exc:
+            raise FormatError(f"missing key {exc}") from exc
+        except (TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise FormatError(f"malformed input: {exc}") from exc
     return read
 
@@ -123,7 +131,7 @@ def matrix_to_json(m):
 
 @_reading
 def matrix_from_json(d):
-    rows, cols = _integer(d["rows"]), _integer(d["cols"])
+    rows, cols = _integer(d["rows"], what="rows", lo=0), _integer(d["cols"], what="cols", lo=0)
     return _from_wire(d["data"], rows * cols).reshape(rows, cols)
 
 
@@ -140,7 +148,7 @@ def vector_to_json(v):
 
 @_reading
 def vector_from_json(d):
-    return _from_wire(d["data"], _integer(d["dim"]))
+    return _from_wire(d["data"], _integer(d["dim"], what="dim", lo=0))
 
 
 def space_to_json(sp):
@@ -328,5 +336,8 @@ def read_json(path):
     """The value of ``json.load`` on the file at path, with each flat
     ``"data"`` array that ``dumps`` wrote read as an owned float64 array in
     place of a list of Python floats: see ``flatjson.loads``."""
-    with open(path, "rb") as fh:
-        return flatjson.loads(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            return flatjson.loads(fh.read())
+    except (ValueError, RecursionError) as exc:  # not JSON, or nested past the recursion limit
+        raise FormatError(str(exc)) from exc

@@ -26,6 +26,8 @@ _PAIRS = {4: (("E", "T", (1, 1, 0, 0)),
               ("G", "Y", (1, 1, 0, 1, 0, 1, 0, 0)),
               ("L", "W", (1, 0, 1, 1, 0, 0, 1, 0)))}
 
+_MAX_ENTRIES = int(np.iinfo(np.intp).max)  # the most entries numpy can shape one array to
+
 
 def as_int(x, what, error=DimensionError, lo=None, hi=None):
     """x as a Python int in [lo, hi] (a bound of None is open): an int, a
@@ -50,7 +52,8 @@ class ProductSpace:
     (three-detector mode) and each block size be at least 1; ``dim_i``
     must be even and at least 2, the slit projector rank being fixed to
     ``dim_i // 2``.  ``dim_i`` and each block size are read by ``as_int``
-    and stored as Python ints.
+    and stored as Python ints, and ``dim ** 2`` must fit numpy's intp, so
+    that numpy can shape a ``dim x dim`` operator.
     """
 
     dim_i: int
@@ -64,6 +67,8 @@ class ProductSpace:
             raise DimensionError(f"dim_i must be even, got {self.dim_i}")
         if len(self.partition) not in _PAIRS:
             raise ModeError(f"partition must have 4 or 8 blocks, got {len(self.partition)}")
+        if self.dim ** 2 > _MAX_ENTRIES:
+            raise DimensionError(f"space dim {self.dim} is too large for dim x dim operators")
 
     @property
     def rank_e(self):

@@ -6,7 +6,8 @@ residual is at most the equality tolerance; "nonzero" conditions (the
 incompatibility requirements) pass when the residual *exceeds* a separate
 nonzeroness threshold, so they cannot be satisfied by numerical dust.  A
 non-finite residual fails, and maxima of residuals are taken with numpy,
-which keeps a NaN (Python's ``max(0.0, nan)`` is 0.0).
+which keeps a NaN (Python's ``max(0.0, nan)`` is 0.0).  An infinite entry
+gives NaN residuals, which fail without a numpy warning.
 
 ``verify_bundle`` checks every bundle on its factors.  It reads each
 property's H_I core off the first stripe, ``op[::dim_ii, ::dim_ii]``, and
@@ -36,6 +37,8 @@ import numpy as np
 from .errors import DimensionError, NonCommutingError, ZeroConditioningError
 from .linalg import (as_cmatrix, as_cvector, commutator, default_nonzero_tol, frobenius_norm,
                      tolerance)
+
+_quiet = np.errstate(invalid="ignore")  # around each public check: inf - inf is a NaN that fails
 
 
 @dataclass
@@ -93,8 +96,7 @@ def _normalized(psi):
     nrm = np.linalg.norm(psi)
     if nrm == 0:
         raise DimensionError("state vector must be nonzero")
-    with np.errstate(invalid="ignore"):  # a NaN or infinite norm: the checks fail on the NaNs
-        return psi / nrm
+    return psi / nrm
 
 
 def _conformable(psi, *mats):
@@ -161,6 +163,7 @@ def _conditions(props, dets, psi, tol, tol_nonzero, factored=False):
             for i, (check, residual, limit) in enumerate(conditions, start=1)]
 
 
+@_quiet
 def check3(E, G, T, Y, psi, tol=None, tol_nonzero=None, space=None):
     """Evaluate the five (plus one structural) two-detector conditions.
 
@@ -190,6 +193,7 @@ def _dense_report(props, dets, psi, tol, tol_nonzero, space=None):
     return VerificationReport(entries=entries, tol=t, tol_nonzero=tnz)
 
 
+@_quiet
 def check4(E, G, L, T, Y, W, psi, tol=None, tol_nonzero=None):
     """Evaluate the ten three-detector conditions.
 
@@ -204,6 +208,7 @@ def check4(E, G, L, T, Y, W, psi, tol=None, tol_nonzero=None):
     return _dense_report([E, G, L], [T, Y, W], psi, tol, tol_nonzero)
 
 
+@_quiet
 def conditional_probability(a, b, psi, tol=None):
     """p(a | b) = <psi| a b psi> / <psi| b psi> for commuting projectors.
 
@@ -252,6 +257,7 @@ def _findings(idents, tol):
     return [CorrelationFinding(name, float(res)) for name, res in idents if res <= tol]
 
 
+@_quiet
 def detect_correlations(bundle, tol=None):
     """Identities from the catalog that hold on the bundle's state.
 
@@ -293,8 +299,7 @@ def _lift_residual(op, sp, left):
     off_stripes = np.count_nonzero(op) != np.count_nonzero(stripes)
     if not off_stripes and (stripes == core[:, :, None]).all():
         return core, 0.0
-    with np.errstate(invalid="ignore"):  # inf - inf: NaN, which fails
-        residual = np.max(np.abs(stripes - core[:, :, None]))
+    residual = np.max(np.abs(stripes - core[:, :, None]))
     if off_stripes:
         off = np.abs(pairs)
         k = np.arange(len(off))
@@ -303,6 +308,7 @@ def _lift_residual(op, sp, left):
     return core, float(residual)
 
 
+@_quiet
 def verify_bundle(bundle, tol=None, tol_nonzero=None):
     """Full report for a solution bundle, checked on its cores.
 

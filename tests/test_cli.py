@@ -8,6 +8,7 @@ import pytest
 
 from twoslit import cli, family3, family4, fixtures, jsonio
 from twoslit.cli import main
+from twoslit.errors import FormatError
 from twoslit.space import ProductSpace
 from twoslit.verify import verify_bundle
 
@@ -480,6 +481,23 @@ def test_verify_on_a_nan_state_warns_nothing(capsys, tmp_path):
     assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("path, failing", [
+    (("operators", "G", "data", 0), ["C.1", "C.3", "C.5", "projector(G)"]),
+    (("psi", "data", 0), ["C.2", "C.3", "C.5"]),
+], ids=["operator", "psi"])
+def test_verify_an_infinite_entry_fails_without_a_warning(capsys, bundle3_path, tmp_path,
+                                                          path, failing):
+    blob = json.loads(bundle3_path.read_text())["bundle"]
+    _set(blob, path, float("inf"))
+    bad = tmp_path / "inf.json"
+    bad.write_text(json.dumps(blob))  # written as Infinity, which json reads
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = run_cli(capsys, "verify", "--bundle", str(bad))
+    assert rc == 1 and err == ""
+    assert json.loads(out)["failing"] == failing
+
+
 def _nan_state_bundle(tmp_path, capsys, layout):
     path = tmp_path / "b3.json"
     run_cli(capsys, "generate3", "--out", str(path))
@@ -617,8 +635,12 @@ def test_simulate_takes_no_tol(capsys):
 
 
 def _json_load(path):
+    """The reference reader: json.load, its errors wrapped as read_json wraps them."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(str(exc)) from exc
 
 
 def _edit_g_data(old, new):
@@ -709,3 +731,63 @@ def test_verify_a_json_scalar_exits_2(capsys, tmp_path, text):
 def test_solve_rejects_a_non_finite_state(capsys, tmp_path, extra):
     rc, out, err = run_cli(capsys, "solve", *_bad_state_files(tmp_path, np.nan), *extra)
     assert (rc, out, err) == (2, "", "error: state must be finite\n")
+
+
+def _edited(edit):
+    """The text of the spin32 bundle after edit(blob)."""
+    def text(good):
+        blob = json.loads(json.dumps(good))
+        edit(blob)
+        return json.dumps(blob)
+    return text
+
+
+def _params(name, key, value):
+    return lambda good: json.dumps({**jsonio.params_to_json(fixtures.fixture(name).params),
+                                    key: value})
+
+
+# by case: the command that reads the file and the file's text, given the spin32 bundle
+_HOSTILE = {
+    "nested": ("verify", lambda good: "[" * 100000),
+    "derived-huge-integer": ("verify", _edited(lambda b: _set(b, ("derived", "q"), 10 ** 400))),
+    "p-huge-integer": ("generate3", _params("spin32", "p", 10 ** 400)),
+    "derived-string": ("verify", _edited(lambda b: _set(b, ("derived", "u"), "abc"))),
+    "p-string": ("generate3", _params("spin32", "p", "x")),
+    "negative-rows": ("verify", _edited(lambda b: _set(b, ("operators", "G", "rows"), -24))),
+    "negative-cols": ("verify", _edited(lambda b: _set(b, ("operators", "G", "cols"), -24))),
+    "block-1e20": ("generate4", _params("dim10", "dim_block2", 1e20)),
+    "block-1e11": ("generate4", _params("dim10", "dim_block2", 1e11)),
+    "missing-operator": ("verify", _edited(lambda b: b["operators"].pop("Y"))),
+    "truncated": ("verify", lambda good: json.dumps(good)[:5000]),
+}
+
+
+@pytest.mark.parametrize("case", list(_HOSTILE))
+def test_hostile_input_file_exits_2_with_one_error_line(capsys, bundle3_path, tmp_path, case):
+    command, make_text = _HOSTILE[case]
+    text = make_text(json.loads(bundle3_path.read_text())["bundle"])
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    rc, out, err = run_cli(capsys, command, "--bundle" if command == "verify" else "--params",
+                           str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    if case == "missing-operator":  # missing keys and decode errors print the same line as before
+        assert err == "error: missing key 'Y'\n"
+    if case == "truncated":
+        with pytest.raises(ValueError) as want:
+            json.loads(text)
+        assert err == f"error: {want.value}\n"
+
+
+@pytest.mark.parametrize("bug", [ValueError("a bug"), KeyError("a bug")],
+                         ids=["ValueError", "KeyError"])
+def test_a_bug_is_not_bad_input(capsys, monkeypatch, bundle3_path, bug):
+    def broken(*args, **kwargs):
+        raise bug
+
+    monkeypatch.setattr(cli, "verify_bundle", broken)
+    with pytest.raises(type(bug)) as got:
+        main(["verify", "--bundle", str(bundle3_path)])
+    assert got.value is bug

@@ -133,12 +133,14 @@ def test_params_from_json_checks_paired_seed_lengths():
 @pytest.mark.parametrize("cls, key", [(family3.Family3Params, "p"),
                                       (family4.Family4Params, "p"),
                                       (family4.Family4Params, "m")])
-def test_params_from_json_missing_required_key_raises_key_error(cls, key):
+def test_params_from_json_missing_required_key_raises_format_error(cls, key):
     d = jsonio.params_to_json(fixtures.fixture("spin32" if cls is family3.Family3Params
                                                else "dim10").params)
     del d[key]
-    with pytest.raises(KeyError):
+    with pytest.raises(FormatError) as got:
         jsonio.params_from_json(cls, d)
+    assert str(got.value) == f"missing key '{key}'"
+    assert type(got.value.__cause__) is KeyError
 
 
 @pytest.mark.parametrize("key, error", [("p", FormatError), ("theta", FormatError),
@@ -718,9 +720,10 @@ def test_read_json_hostile_text_reads_as_json_load(tmp_path, text, chunk):
             want = exc
     with mock.patch.object(flatjson, "_READ_CHUNK", chunk):
         if isinstance(want, Exception):
-            with pytest.raises(type(want)) as got:
+            with pytest.raises(FormatError) as got:
                 jsonio.read_json(path)
             assert str(got.value) == str(want)
+            assert type(got.value.__cause__) is type(want)
         else:
             _assert_reads_as_json_load(jsonio.read_json(path), want)
 
@@ -730,6 +733,7 @@ def test_read_json_not_utf8_raises_as_json_load(tmp_path):
     path.write_bytes(b'{"data": [0.0, 1.5], "s": "\xff"}')
     with open(path) as fh, pytest.raises(ValueError) as want:
         json.load(fh)
-    with pytest.raises(type(want.value)) as got:
+    with pytest.raises(FormatError) as got:
         jsonio.read_json(path)
     assert str(got.value) == str(want.value)
+    assert type(got.value.__cause__) is type(want.value)
