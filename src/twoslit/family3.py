@@ -13,6 +13,8 @@ and are exposed through :func:`derive_u` / :func:`derive_q` and the
 bundle's ``derived`` dict.
 """
 
+import math
+import sys
 from dataclasses import dataclass, field, fields
 from functools import cache, partial
 
@@ -25,6 +27,9 @@ from .space import ProductSpace, SolutionBundle, as_int, assemble
 # A parameter dataclass's field annotations are its schema: float, int (read by
 # as_int), complex or np.ndarray (a seed vector); jsonio encodes by the same types.
 _COERCE = {float: float, complex: complex, np.ndarray: as_cvector}
+# Largest modulus whose square is a finite float: the formulas square every
+# complex parameter's modulus with float **, which overflows past it.
+_MAX_MODULUS = math.sqrt(sys.float_info.max)
 
 
 def unit_seed():
@@ -33,10 +38,12 @@ def unit_seed():
 
 @cache
 def _schema(cls):
-    """(name, coercion) of each field of a parameter dataclass, and the seed names."""
+    """(name, coercion) of each field of a parameter dataclass, the seed names and
+    the complex names."""
     return ([(f.name, partial(as_int, what=f.name) if f.type is int else _COERCE[f.type])
              for f in fields(cls)],
-            [f.name for f in fields(cls) if f.type is np.ndarray])
+            [f.name for f in fields(cls) if f.type is np.ndarray],
+            [f.name for f in fields(cls) if f.type is complex])
 
 
 def coerce_fields(params):
@@ -50,6 +57,16 @@ def check_seeds(params):
     for name in _schema(type(params))[1]:
         if np.linalg.norm(getattr(params, name)) == 0.0:
             raise SeedError(f"{name} must be nonzero")
+
+
+def check_moduli(params):
+    """Raise ParamRangeError for the first complex field whose squared modulus
+    is not a finite float (NaN and inf included)."""
+    for name in _schema(type(params))[2]:
+        value = getattr(params, name)
+        if not math.hypot(value.real, value.imag) <= _MAX_MODULUS:
+            raise ParamRangeError(f"{name}={value} must be finite with modulus at most "
+                                  f"{_MAX_MODULUS:.6g}")
 
 
 def _join_core(pb, qb, w, x2, x3, y2, y3):
@@ -104,6 +121,7 @@ class Family3Params:
                                 len(self.seed_gamma3), len(self.seed_delta2)))
 
     def validate(self):
+        check_moduli(self)  # before p_interval squares them
         lo, hi = self.p_interval
         if not (lo < self.p < hi):
             raise ParamRangeError(f"p={self.p} outside open interval ({lo}, {hi})")

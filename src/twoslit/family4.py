@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParamRangeError, ZeroDivisorError
-from .family3 import _join_core, check_seeds, coerce_fields, unit_seed
+from .family3 import _join_core, check_moduli, check_seeds, coerce_fields, unit_seed
 from .space import ProductSpace, SolutionBundle, assemble
 
 
@@ -65,6 +65,7 @@ class Family4Params:
         ))
 
     def validate(self):
+        check_moduli(self)  # before _side squares them
         for name in ("b4", "beta4", "b5", "l5", "beta5", "lambda5"):
             if getattr(self, name) == 0:
                 raise ZeroDivisorError(f"{name} = 0 divides the coefficient formulas")

@@ -1,20 +1,18 @@
 """Constraint solver from the state alone, independent of the closed-form families.
 
-Given the which-slit projector E_I, a state psi whose detector pattern is
-consistent (T psi = E psi blockwise), and the block partition, the solver
-finds every Hermitian G_I with Y psi = (G_I x 1) psi and, in 8-block mode,
-every L_I with W psi = (L_I x 1) psi, in closed form.  Write the state's
-rows as rows = psi.reshape(dim_i, dim_ii), and split its columns into R_Y,
-inside the detector's blocks, and R_N, outside them.  The identity reads
-G R_Y = R_Y and G R_N = 0, so with A = col(R_Y) and B = col(R_N) a
-solution exists if and only if A is orthogonal to B, and the solutions are
-then exactly P_A + V X V^dagger: V an orthonormal basis of
-F = (A + B)^perp and X any Hermitian block on F.  The projector search
-purifies only X.  It is the oracle that certifies the closed-form
-generators.
+Given the which-slit projector E_I, a state psi whose detector pattern is consistent
+(T psi = E psi blockwise), and the block partition, the solver finds every Hermitian
+G_I with Y psi = (G_I x 1) psi and, in 8-block mode, every L_I with
+W psi = (L_I x 1) psi, in closed form.  Split the columns of psi.reshape(dim_i, dim_ii)
+into R_Y, inside the detector's blocks, and R_N, outside them: G R_Y = R_Y and
+G R_N = 0, so with A = col(R_Y) and B = col(R_N) a solution exists if and only if A
+is orthogonal to B, and the solutions are then exactly P_A + V X V^dagger, V an
+orthonormal basis of F = (A + B)^perp and X any Hermitian block on F.  The projector
+search purifies only X; it is the oracle that certifies the closed-form generators.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -156,91 +154,93 @@ def solve(cs: ConstraintSystem):
     return sets
 
 
-def _purify(m, max_iter=200, stop=1e-13):
-    """Iterate m <- 3 m^2 - 2 m^3 on each Hermitian matrix of the stack m;
-    converges to a projector from nearby starting points and preserves the
-    affine solution set.
-
-    Returns one entry per matrix: the projector once ``max|m^2 - m|`` falls
-    below ``stop`` (tested before each step), or None when a step gives an
-    entry not within 1e6 in modulus (NaN included), or after ``max_iter``
-    steps.  Each matrix takes its own steps, unaffected by the others.
-    Before the first product, a start with a column of ``m - I/2`` longer
-    than ``_ESCAPE`` (or not finite) is given None: it has an eigenvalue
-    whose orbit diverges.  That screen holds for Hermitian starts only; a
-    non-normal one such as [[0, 100], [0, 0]] has a long column yet
-    purifies to 0.
-    """
-    out = [None] * len(m)
-    eye = np.eye(m.shape[-1])
-    live = np.flatnonzero(np.linalg.norm(m - eye / 2, axis=-2).max(axis=-1) <= _ESCAPE)
-    m = m[live]
-    for _ in range(max_iter):
-        if not live.size:
-            break
-        m2 = m @ m
-        done = np.max(np.abs(m2 - m), axis=(1, 2)) < stop
-        for k, mk in zip(live[done], m[done]):
-            out[k] = mk
-        m, m2, live = m[~done], m2[~done], live[~done]
-        m = 3 * m2 - 2 * m2 @ m
-        ok = np.max(np.abs(m), axis=(1, 2)) <= 1e6  # False for NaN too
-        m, live = m[ok], live[ok]
-    return out
-
-
-# Matrix entries purified as one stack: bounds memory for any draw count
-# (1024 free blocks at f = 4, 4096 at f = 2).
-_STACK_ENTRIES = 1 << 14
+_STACK_ENTRIES = 1 << 14  # entries of one stack of blocks or members: bounds memory
 _BOX = 2.0  # half-width of the centered box of block coordinates drawn
-# With y = x - 1/2 a step maps an eigenvalue y to 3y/2 - 2y^3, of modulus
-# |y| (2y^2 - 3/2) > |y| once |y| > sqrt(5)/2 ~ 1.118, a ratio that grows
-# each step: every bounded orbit stays within sqrt(5)/2 of 1/2.  A column
-# of a Hermitian m - I/2 is no longer than its largest |eigenvalue|, so a
-# column longer than _ESCAPE puts an eigenvalue on a diverging orbit.
+# A step maps y = x - 1/2 to 3y/2 - 2y^3, which grows once |y| > sqrt(5)/2 ~ 1.118, and
+# no column of a Hermitian m - I/2 outgrows its largest |y|: one past _ESCAPE diverges.
 _ESCAPE = 1.2
+_STOP, _BOUND = 1e-13, 1e6  # x has converged once |x^2 - x| < _STOP, diverged past _BOUND
+_DUPLICATE = 1e-8  # max-abs distance within which a member repeats a kept one
 
 
-def _stack_size(f):
-    """Free blocks of size f x f purified as one stack."""
+def _stack_size(f):  # free blocks of size f x f purified as one stack
     return max(1, _STACK_ENTRIES // max(1, f * f))
+
+
+def _short(sq):
+    """Whether each m of a stack, given |m - I/2|^2, has no column past _ESCAPE (or NaN)."""
+    return np.sqrt(sq.sum(axis=-2)).max(axis=-1, initial=0.0) <= _ESCAPE
+
+
+@cache
+def _slots(f):
+    """Where from_coords puts each coordinate of an f x f block (a pair where its re goes)."""
+    return from_coords(np.arange(f * f), f).real.astype(int)
+
+
+def _short_coords(t, f):
+    """_short of from_coords(t, f): column j sums (t_j - 1/2)^2 and re^2 + im^2 of its pairs."""
+    sq = np.concatenate([(t[:, :f] - 0.5) ** 2, t[:, f:] ** 2], axis=1)
+    sq[:, f::2] += sq[:, f + 1::2]  # pair k's re^2 + im^2, where from_coords puts its re
+    return _short(sq[:, _slots(f)])
+
+
+def _spectral(m, max_iter=200):
+    """McWeeny's map x <- 3 x^2 - 2 x^3, up to ``max_iter`` steps, on each eigenvalue x of
+    each Hermitian m of the stack: the mask of the m whose x all converge, and U rint(x) U^H."""
+    x, u = np.linalg.eigh(m)
+    settled = np.zeros(x.shape, dtype=bool)
+    for _ in range(max_iter):  # a converged x stays converged, and NaN stays NaN
+        x2 = x * x
+        if (settled := ~(np.abs(x2 - x) >= _STOP)).all():  # converged, or NaN
+            break
+        x = 3 * x2 - 2 * x2 * x
+        x[np.abs(x) > _BOUND] = np.nan  # failed, and quiet from here on
+    ok = (settled & ~np.isnan(x)).all(axis=-1)
+    return ok, (u[ok] * np.rint(x[ok])[:, None, :]) @ u[ok].conj().transpose(0, 2, 1)
+
+
+def _purify(m, max_iter=200):
+    """Indices into m, and projectors, of the starts _short lets _spectral purify.  The
+    screen needs Hermitian m: [[0, 100], [0, 0]] has a long column, yet purifies to 0."""
+    d = m - np.eye(m.shape[-1]) / 2
+    live = np.flatnonzero(_short(d.real ** 2 + d.imag ** 2))
+    ok, ys = _spectral(m[live], max_iter)
+    return live[ok], ys
 
 
 def filter_projectors(sol: AffineSolutionSet, sp: ProductSpace,
                       draws=10000, seed=0, candidates=()):
     """Projector members of a solution set ``sol`` solved on the space ``sp``.
 
-    Only the blocks X of the set P_A + V X V^dagger are purified, as
-    McWeeny maps P_A plus a block to P_A plus the purified block, so every
-    survivor lies in the set.  Candidates (if given) are compressed to F by
-    their Hermitian part (m + m^dagger) / 2 and purified first, then
-    ``draws`` blocks whose coordinates (``from_coords``) are uniform in
-    [-_BOX, _BOX]^nullity, in stacks of ``_stack_size(f)`` blocks.
-    Survivors are distinct and in a fixed order for a fixed seed; there are
-    none when the set is empty.  A space other than ``sol.space`` raises
-    DimensionError.
-    """
-    draws = as_int(draws, "draws", lo=0)
-    seed = as_int(seed, "seed", lo=0)
+    Only the blocks X of P_A + V X V^dagger are purified, so every survivor lies in the
+    set.  Candidates' Hermitian parts, compressed to F, go first, then ``draws`` blocks
+    with coordinates uniform in [-_BOX, _BOX]^nullity, in stacks of ``_stack_size(f)``,
+    built only if they pass _short_coords.  Survivors are distinct (_DUPLICATE), in a
+    fixed order for a fixed seed, and none when the set is empty.  Another space than
+    ``sol.space`` raises DimensionError."""
+    draws, seed = as_int(draws, "draws", lo=0), as_int(seed, "seed", lo=0)
     if sp != sol.space:
         raise DimensionError(f"solution set of {sol.name} was solved on {sol.space}, not {sp}")
     if not sol.exists:
         return []
-    p_a, v, f, found = sol.p_a, sol.v, sol.free_dim, []
-    vh = v.conj().T
+    p_a, v, f, n = sol.p_a, sol.v, sol.free_dim, sp.dim_i
+    vh, kept = v.conj().T, np.empty((0, n, n), dtype=complex)
 
-    def consider(blocks):
-        # a point set (F = 0) has empty blocks, each a projector already
-        ys = _purify(blocks) if blocks.size else blocks
-        for m in (p_a + v @ y @ vh for y in ys if y is not None):
-            if all(np.max(np.abs(prev - m)) > 1e-8 for prev in found):
-                found.append(m)
+    def consider(ys, step=max(1, _STACK_ENTRIES // (n * n))):
+        nonlocal kept
+        for start in range(0, len(ys), step):  # members built at once
+            members = v @ ys[start:start + step] @ vh
+            members += p_a
+            for m in members:
+                if np.abs(kept - m).max(axis=(1, 2)).min(initial=np.inf) > _DUPLICATE:
+                    kept = np.concatenate([kept, m[None]])
 
-    cands = [as_cmatrix(m) for m in candidates]
-    consider(np.array([vh @ ((m + m.conj().T) / 2) @ v for m in cands]))
-    rng = np.random.default_rng(seed)
-    stack = _stack_size(f)
+    blocks = [vh @ ((m + m.conj().T) / 2) @ v for m in map(as_cmatrix, candidates)]
+    consider(_purify(np.array(blocks, dtype=complex).reshape(len(blocks), f, f))[1])
+    rng, stack = np.random.default_rng(seed), _stack_size(f)
     for start in range(0, draws, stack):
         t = rng.uniform(-_BOX, _BOX, size=(min(stack, draws - start), f * f))
-        consider(from_coords(t, f))
-    return found
+        if len(t := t[_short_coords(t, f)]):
+            consider(_spectral(from_coords(t, f))[1])
+    return list(kept)

@@ -417,6 +417,25 @@ def test_null_parameter_value_exits_2(capsys, tmp_path, command, key):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _complex_fields(command):
+    cls = family3.Family3Params if command == "generate3" else family4.Family4Params
+    return [(command, f.name) for f in dataclasses.fields(cls) if f.type is complex]
+
+
+@pytest.mark.parametrize("value", [[1e308, 1e308], [1e200, 0.0]], ids=["1e308", "1e200"])
+@pytest.mark.parametrize("command, key", _complex_fields("generate3") + _complex_fields("generate4"))
+def test_a_complex_parameter_too_large_to_square_exits_2(capsys, tmp_path, command, key, value):
+    params = jsonio.params_to_json(fixtures.fixture(
+        "spin32" if command == "generate3" else "dim10").params)
+    params[key] = value
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    rc, out, err = run_cli(capsys, command, "--params", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {key}=") and "modulus" in err
+    assert err.count("\n") == 1
+
+
 def _set(blob, path, value):
     for key in path[:-1]:
         blob = blob[key]

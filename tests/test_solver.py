@@ -290,7 +290,7 @@ def test_assemble_memory_stays_near_the_state_size():
 
 
 def _loop_purify(m, max_iter=200, stop=1e-13):
-    """The one-matrix purification, kept as the reference for the stacked one."""
+    """The one-matrix purification, kept as the reference for the spectral one."""
     for _ in range(max_iter):
         m2 = m @ m
         if np.max(np.abs(m2 - m)) < stop:
@@ -299,6 +299,23 @@ def _loop_purify(m, max_iter=200, stop=1e-13):
         if not np.isfinite(m).all() or np.max(np.abs(m)) > 1e6:
             return None
     return None
+
+
+def _by_start(stack, **kw):
+    """_purify's result with one entry per start of the stack: its projector, or None."""
+    out = [None] * len(stack)
+    for k, y in zip(*solver._purify(stack, **kw)):
+        out[k] = y
+    return out
+
+
+def _assert_same_outcomes(got, want):
+    """The same None pattern, and survivors within 1e-12 of the loop's."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert np.max(np.abs(g - w)) <= 1e-12
 
 
 def _loop_filter(cs, sol, tol=1e-9, draws=10000, box=2.0, seed=0, candidates=(), sizes=None):
@@ -366,13 +383,7 @@ def test_stacked_purification_matches_one_matrix_loop(n):
     want = [_loop_purify(m) for m in stack]
     assert any(w is None for w in want) and any(w is not None for w in want)
     for part in (stack, stack[:1], stack[3:], stack[::-1]):
-        got = solver._purify(part)
-        ref = [_loop_purify(m) for m in part]
-        assert len(got) == len(part)
-        for g, r in zip(got, ref):
-            assert (g is None) == (r is None)
-            if r is not None:
-                assert g.tobytes() == r.tobytes()
+        _assert_same_outcomes(_by_start(part), [_loop_purify(m) for m in part])
 
 
 @pytest.mark.parametrize("f", [1, 2, 4, 6])
@@ -390,17 +401,14 @@ def test_screened_starts_all_diverge(f):
     kept_and_failed = [w is None for w, s in zip(want, screened) if not s]
     assert screened.sum() >= 50 and any(kept_and_failed) and not all(kept_and_failed)
     assert all(w is None for w, s in zip(want, screened) if s)
-    for g, w in zip(solver._purify(starts), want):
-        assert (g is None) == (w is None)
-        if w is not None:
-            assert g.tobytes() == w.tobytes()
+    _assert_same_outcomes(_by_start(starts), want)
 
 
 def test_screen_needs_a_hermitian_start():
     # a long column, yet nilpotent: the loop purifies it to 0 in two steps
     m = np.array([[0, 100], [0, 0]], dtype=complex)
     assert np.array_equal(_loop_purify(m), np.zeros((2, 2)))
-    assert solver._purify(m[None]) == [None]
+    assert _by_start(m[None]) == [None]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
@@ -411,18 +419,61 @@ def test_stacked_purification_retires_by_each_test():
     # of length 1.15) and exceeds 1e6 at its fifth step
     stack = np.array([10 * eye, 1e200 * eye, np.full((3, 3), np.nan), 1.65 * eye,
                       0.5 * eye, np.diag([1.0, 0, 1]).astype(complex)])
-    got = solver._purify(stack)
+    got = _by_start(stack)
     assert got[:5] == [None] * 5
-    assert got[5].tobytes() == stack[5].tobytes()
+    assert np.max(np.abs(got[5] - stack[5])) <= 1e-12
     # the 1/2 fixed point is still finite and bounded: only the step limit drops it
-    assert solver._purify(stack[4:5], max_iter=1000)[0] is None
-    assert solver._purify(np.empty((0, 3, 3), dtype=complex)) == []
+    assert _by_start(stack[4:5], max_iter=1000) == [None]
+    assert _by_start(np.empty((0, 3, 3), dtype=complex)) == []
     # a start first found converged after k - 1 steps is dropped with one step fewer
     slow = np.array([np.diag([0.5 + 1e-12, 0.5 - 1e-12, 1.0]).astype(complex)])
     k = next(k for k in range(1, 400) if _loop_purify(slow[0], max_iter=k) is not None)
     assert k > 50
-    assert solver._purify(slow, max_iter=k - 1) == [None]
-    assert solver._purify(slow, max_iter=k)[0].tobytes() == _loop_purify(slow[0], k).tobytes()
+    assert _by_start(slow, max_iter=k - 1) == [None]
+    _assert_same_outcomes(_by_start(slow, max_iter=k), [_loop_purify(slow[0], k)])
+
+
+@pytest.mark.parametrize("f", [1, 2, 4, 6])
+def test_spectral_purification_matches_the_loop_on_seeded_starts(f):
+    """Spectra across the basin (-0.618, 1.618) of bounded orbits, so that
+    some starts of every size converge and some diverge."""
+    rng = np.random.default_rng(80 + f)
+    starts = []
+    for _ in range(800):
+        q, _ = np.linalg.qr(rng.standard_normal((f, f)) + 1j * rng.standard_normal((f, f)))
+        starts.append((q * rng.uniform(-0.7, 1.7, f)) @ q.conj().T)
+    starts = np.array(starts)
+    want = [_loop_purify(m) for m in starts]
+    assert any(w is None for w in want) and any(w is not None for w in want)
+    got = _by_start(starts)
+    _assert_same_outcomes(got, want)
+    ok, ys = solver._spectral(starts)  # unscreened, as the draws that pass reach it
+    assert ok.tolist() == [w is not None for w in want]
+    assert all(np.array_equal(g, y) for g, y in zip((g for g in got if g is not None), ys))
+    for y in ys:
+        assert np.max(np.abs(y - y.conj().T)) <= 1e-14
+        assert np.max(np.abs(y @ y - y)) <= 1e-14
+
+
+@pytest.mark.parametrize("f", [0, 1, 2, 4, 6])
+def test_coordinate_screen_keeps_the_rows_of_the_column_screen(f):
+    rng = np.random.default_rng(90 + f)
+    t = np.concatenate([rng.uniform(-2, 2, (400, f * f)), rng.uniform(-0.6, 1.6, (400, f * f))])
+    if f:  # columns of length exactly 1.2, and one float past it
+        edge = np.zeros((6, f * f))
+        edge[:, :f] = 0.5
+        edge[0, 0], edge[1, f - 1] = 1.7, -0.7
+        edge[2, 0], edge[3, f - 1] = np.nextafter(1.7, 2), np.nextafter(-0.7, -1)
+        if f > 1:
+            edge[4, f], edge[5, f + 1] = 1.2, np.nextafter(-1.2, -2)
+        t = np.concatenate([t, edge])
+    d = solver.from_coords(t, f) - np.eye(f) / 2
+    kept = solver._short_coords(t, f)
+    assert np.array_equal(kept, solver._short(d.real ** 2 + d.imag ** 2))
+    assert kept.any() and (f == 0 or not kept.all())
+    if f:
+        assert kept[-6:].tolist() == [True, True, False, False] + ([True, False] if f > 1 else
+                                                                   [True, True])
 
 
 def _state(name, seed=None):
@@ -584,6 +635,24 @@ def test_filter_on_a_single_point_set(psi, want):
                       _loop_filter(cs, sol, draws=draws)):
             assert [m.tolist() for m in found] == [m.tolist() for m in want]
     assert solver.filter_projectors(sol, sp, draws=0) == []
+
+
+@pytest.mark.parametrize("sp, psi", [(SMALL, SINGLE_POINT),
+                                     (ProductSpace(4, (1, 1, 1, 1)), np.eye(4).reshape(-1) / 2)],
+                         ids=["dim_i-2", "dim_i-4"])
+def test_a_point_set_search_keeps_one_member_in_bounded_memory(sp, psi):
+    # 10000 draws, every one a survivor: 2.56 MB of members at dim_i 4 if built at once
+    (sol,) = solver.solve(solver.assemble(slit_projector(sp), psi, sp))
+    assert sol.free_dim == 0
+    solver.filter_projectors(sol, sp, draws=1)  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        found = solver.filter_projectors(sol, sp, draws=10000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 1 and np.array_equal(found[0], sol.p_a)
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("name", ["spin32", "dim10", "family3", "family4",
