@@ -12,9 +12,16 @@ propagates.  JSON goes to stdout unless --out is given.  The equality
 tolerance (finite, >= 0) defaults to 1e-12, overridden per call by --tol
 or globally by the TWOSLIT_TOL environment variable.  solve checks its
 residuals against 1e-10 and simulate checks nothing; neither takes --tol.
+
+The argument parser is built once per process, on the first call of
+``main``, and reused by later calls.  Each call parses into a fresh
+namespace and looks up ``cmd_<subcommand>``, and everything that function
+calls, when it runs, so a module attribute replaced after the parser was
+built (a test's monkeypatch, a tracing wrapper) is the one called.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -155,6 +162,7 @@ def cmd_simulate(args):
     return 0
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="twoslit",
@@ -172,23 +180,19 @@ def build_parser():
     p = sub.add_parser("generate3", help="build a two-detector solution bundle")
     p.add_argument("--params", help="JSON parameter file (defaults to the spin32 point)")
     add_common(p)
-    p.set_defaults(func=cmd_generate3)
 
     p = sub.add_parser("generate4", help="build a three-detector solution bundle")
     p.add_argument("--params", help="JSON parameter file (defaults to the dim10 point)")
     add_common(p)
-    p.set_defaults(func=cmd_generate4)
 
     p = sub.add_parser("verify", help="check every condition on a bundle file")
     p.add_argument("--bundle", required=True, help="bundle JSON produced by generate*/reproduce")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reproduce", help="regenerate a built-in fixture and diff it")
     p.add_argument("--fixture", required=True, choices=fixture_names())
     add_common(p)
-    p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("solve", help="solve the detector constraints for projector candidates")
     p.add_argument("--fixture", choices=fixture_names(),
@@ -199,7 +203,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-filter", action="store_true", help="skip the projector search")
     add_out(p)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="sample joint slit/detector outcomes")
     p.add_argument("--fixture", choices=fixture_names(), default="spin32")
@@ -211,18 +214,16 @@ def build_parser():
                    help="must be >= 1; the tally and the work are the same for any value")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     add_out(p)
-    p.set_defaults(func=cmd_simulate)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (TwoSlitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ free within open intervals; everything else (u, z, q, n and the
 normalization constants below) is forced by idempotence of G_I and L_I.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,25 +116,40 @@ class Family4Coefficients:
                 "l4": self.l4, "lambda4": self.lambda4}
 
 
-def _side(c2, c3, d4, d5, e5):
+# the names of _side's results, per side, as Family4Coefficients calls them
+_X_SIDE = ("s_a", "l4", "C", "D", "A2", "A3", "B2", "B3")
+_Y_SIDE = ("s_alpha", "lambda4", "Gamma", "Delta", "Lambda2", "Lambda3", "Sigma2", "Sigma3")
+
+
+def _side(names, c2, c3, d4, d5, e5):
     """The sums one side's letters fix: (a2, a3, b4, b5, l5) give s_a, l4, C, D,
     A2, A3, B2, B3, and the y-side letters s_alpha, lambda4, Gamma, Delta,
-    Lambda2, Lambda3, Sigma2, Sigma3."""
-    s = 1 + abs(c2) ** 2 + abs(c3) ** 2
-    e4 = c2 * np.conj(c3) / (np.conj(d4) * s) - e5 * np.conj(d5) / np.conj(d4)
-    norm1 = (1 + abs(c3) ** 2) + (abs(d4) ** 2 + abs(d5) ** 2) * s
-    norm2 = (1 + abs(c2) ** 2) + (abs(e4) ** 2 + abs(e5) ** 2) * s
-    return (s, e4, norm1, norm2, abs(c2) ** 2 / norm1, (1 + abs(c3) ** 2) / norm1,
-            (1 + abs(c2) ** 2) / norm2, abs(c3) ** 2 / norm2)
+    Lambda2, Lambda3, Sigma2, Sigma3, as ``names`` calls them.  Moduli that
+    each pass ``check_moduli`` can still overflow these sums and products
+    (a tiny b4 makes l4 huge): ParamRangeError names the first that is not
+    finite."""
+    with np.errstate(all="ignore"):  # a non-finite result is reported below
+        s = 1 + abs(c2) ** 2 + abs(c3) ** 2
+        e4 = c2 * np.conj(c3) / (np.conj(d4) * s) - e5 * np.conj(d5) / np.conj(d4)
+        norm1 = (1 + abs(c3) ** 2) + (abs(d4) ** 2 + abs(d5) ** 2) * s
+        norm2 = (1 + abs(c2) ** 2) + (abs(e4) ** 2 + abs(e5) ** 2) * s
+        values = (s, e4, norm1, norm2, abs(c2) ** 2 / norm1, (1 + abs(c3) ** 2) / norm1,
+                  (1 + abs(c2) ** 2) / norm2, abs(c3) ** 2 / norm2)
+    for name, value in zip(names, values):
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise ParamRangeError(f"derived {name}={value} is not finite: "
+                                  "the coefficients overflow float64")
+    return values
 
 
 def derive_coefficients(params: Family4Params) -> Family4Coefficients:
     """Resolve every derived scalar, validating the p and m ranges."""
     params.validate()
     pr = params
-    s_a, l4, big_c, big_d, a2f, a3f, b2f, b3f = _side(pr.a2, pr.a3, pr.b4, pr.b5, pr.l5)
+    s_a, l4, big_c, big_d, a2f, a3f, b2f, b3f = _side(
+        _X_SIDE, pr.a2, pr.a3, pr.b4, pr.b5, pr.l5)
     s_al, lambda4, gamma, delta, lam2, lam3, sig2, sig3 = _side(
-        pr.alpha2, pr.alpha3, pr.beta4, pr.beta5, pr.lambda5)
+        _Y_SIDE, pr.alpha2, pr.alpha3, pr.beta4, pr.beta5, pr.lambda5)
 
     co = Family4Coefficients(
         s_a=s_a, s_alpha=s_al, l4=l4, lambda4=lambda4,

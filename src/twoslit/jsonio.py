@@ -12,7 +12,9 @@ The public ``*_to_json`` encoders return plain JSON types: dicts, lists,
 Python floats and ints.  ``bundle_to_wire`` returns the same layout with
 each ``data`` left as a read-only float64 array, which ``dumps`` writes
 byte for byte as ``json.dumps`` writes its list; the CLI writes bundles
-that way, without a Python float per entry.  ``dumps`` writes objects
+that way.  For a mostly-zero array, as a lifted operator is, ``dumps``
+builds no Python float per entry and formats each distinct value once:
+a lift repeats each entry of its core.  ``dumps`` writes objects
 indented and arrays on one line; input may use any JSON whitespace.
 
 ``read_json`` reads back the layout ``dumps`` writes with each flat
@@ -307,22 +309,30 @@ _CHUNK = 1 << 15  # entries per list of Python floats that _float_array hands to
 def _float_array(a):
     """``json.dumps(a.tolist())`` for a 1-D float64 array, faster when most entries are 0.0.
 
-    The entries whose bits are zero are written as runs of ``0.0``, built
-    by string repetition; only the others (-0.0 among them) go through
-    ``float.__repr__``.  An array with more than one nonzero entry in
-    five, where the C encoder is faster, or with a NaN or an infinity goes
-    to ``json.dumps`` in lists of ``_CHUNK`` entries, so that no list of
-    Python floats grows with the array.
+    The entries whose bits are zero are written as runs of ``0.0``, each
+    distinct run length built once by string repetition.  Each distinct
+    bit pattern among the others (-0.0 among them) goes through
+    ``float.__repr__`` once, and its text is gathered wherever it occurs:
+    a lifted operator repeats each entry of its core ``dim_ii`` times.  An
+    array with more than one nonzero entry in five, where the C encoder is
+    faster, or with a NaN or an infinity goes to ``json.dumps`` in lists of
+    ``_CHUNK`` entries, so that no list of Python floats grows with the
+    array.
     """
     bits = a.view(np.int64)
-    if 5 * np.count_nonzero(bits) <= len(a):
-        at = np.nonzero(bits)[0]
-        values = a[at]
-        if np.isfinite(values).all():
-            zeros = np.diff(at, prepend=-1, append=len(a)) - 1  # before each entry, and after the last
-            text = "".join(["0.0, " * z + repr(x) + ", "
-                            for z, x in zip(zeros.tolist(), values.tolist())])
-            return "[" + (text + "0.0, " * int(zeros[-1]))[:-2] + "]"
+    nonzero = bits != 0
+    if 5 * np.count_nonzero(nonzero) <= len(a):
+        at = np.flatnonzero(nonzero)
+        if np.isfinite(a[at]).all():
+            distinct, value_of = np.unique(bits[at], return_inverse=True)
+            texts = [repr(x) + ", " for x in distinct.view(np.float64).tolist()]
+            # the zeros before each entry, and after the last
+            zeros = (np.diff(at, prepend=-1, append=len(a)) - 1).tolist()
+            runs = {z: "0.0, " * z for z in set(zeros)}
+            parts = [""] * (2 * len(at) + 1)
+            parts[0::2] = map(runs.__getitem__, zeros)
+            parts[1::2] = map(texts.__getitem__, value_of.tolist())
+            return "[" + "".join(parts)[:-2] + "]"
     return "[" + ", ".join(json.dumps(a[start:start + _CHUNK].tolist())[1:-1]
                            for start in range(0, len(a), _CHUNK)) + "]"
 

@@ -436,6 +436,24 @@ def test_a_complex_parameter_too_large_to_square_exits_2(capsys, tmp_path, comma
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("changes, name", [
+    ({"b4": [1e-200, 0.0], "l5": [1e100, 0.0]}, "D"),
+    ({"a2": [1e154, 0.0]}, "C"),
+], ids=["tiny-b4-huge-l5", "a2-1e154"])
+def test_derived_coefficients_past_the_float_range_exit_2(capsys, tmp_path, changes, name):
+    """Each modulus passes check_moduli, yet family4's sums overflow: one
+    error line naming the first derived scalar that is not finite, no warning."""
+    params = jsonio.params_to_json(fixtures.fixture("dim10").params)
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({**params, **changes}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, "generate4", "--params", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: derived {name}=inf is not finite")
+    assert err.count("\n") == 1
+
+
 def _set(blob, path, value):
     for key in path[:-1]:
         blob = blob[key]
@@ -810,3 +828,45 @@ def test_a_bug_is_not_bad_input(capsys, monkeypatch, bundle3_path, bug):
     with pytest.raises(type(bug)) as got:
         main(["verify", "--bundle", str(bundle3_path)])
     assert got.value is bug
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_call_leaks_nothing_into_the_next(capsys, tmp_path, bundle3_path):
+    report = tmp_path / "report.csv"
+    rc, out, _ = run_cli(capsys, "verify", "--bundle", str(bundle3_path), "--format", "csv",
+                         "--tol", "1e-6", "--out", str(report))
+    assert rc == 0 and out == "" and report.read_text().startswith("name,kind,residual,pass\n")
+    rc, payload = run_json(capsys, "verify", "--bundle", str(bundle3_path))
+    assert rc == 0 and payload["tol"] == 1e-12
+
+
+@pytest.mark.parametrize("bad", [("verify",), ("verify", "--bundle", "b", "--format", "xml"),
+                                 ("--help",), ("verify", "--help")],
+                         ids=["missing-bundle", "bad-choice", "help", "verify-help"])
+def test_a_valid_call_after_a_usage_error_or_help_succeeds(capsys, bundle3_path, bad):
+    rc, _, _ = run_cli(capsys, *bad)
+    assert rc == (0 if "--help" in bad else 2)
+    rc, payload = run_json(capsys, "verify", "--bundle", str(bundle3_path))
+    assert rc == 0 and payload["passed"] is True
+
+
+def test_functions_patched_after_the_parser_exists_are_called(capsys, monkeypatch, bundle3_path):
+    cli.build_parser()
+    calls = []
+    cmd_verify = cli.cmd_verify
+
+    def recording_command(args):
+        calls.append("cmd_verify")
+        return cmd_verify(args)
+
+    def recording(bundle, tol=None):
+        calls.append(tol)
+        return verify_bundle(bundle, tol=tol)
+
+    monkeypatch.setattr(cli, "cmd_verify", recording_command)
+    monkeypatch.setattr(cli, "verify_bundle", recording)
+    rc, _, _ = run_cli(capsys, "verify", "--bundle", str(bundle3_path), "--tol", "1e-9")
+    assert rc == 0 and calls == ["cmd_verify", 1e-9]

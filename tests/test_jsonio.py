@@ -552,6 +552,9 @@ def _float64_arrays(values, layout):
 _FLOAT_LISTS = st.one_of(
     st.lists(_FLOATS),
     st.lists(st.tuples(st.integers(0, 7), _FLOATS)).map(_mostly_zero),
+    # values from a pool of at most four, so that most of them repeat
+    st.lists(_FLOATS, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.tuples(st.integers(0, 7), st.sampled_from(pool)))).map(_mostly_zero),
 )
 
 
@@ -563,6 +566,50 @@ def test_dumps_writes_a_float64_array_as_json_dumps_writes_its_list(values, layo
     with mock.patch.object(jsonio, "_CHUNK", chunk):  # short chunks keep long arrays cheap
         assert jsonio.dumps(a) == json.dumps(a.tolist())
         assert jsonio.dumps({"data": a}) == '{\n  "data": ' + json.dumps(a.tolist()) + "\n}"
+
+
+def _twin_core():
+    """A 4x4 complex core whose parts repeat: ±0.0 twins, subnormals of both
+    signs, and values one ulp apart, each several times."""
+    one = 1.0
+    parts = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, one, np.nextafter(one, 2.0),
+             np.nextafter(one, 0.0), -one, 1 / 3, np.nextafter(1 / 3, 1.0), 0.0, -0.0, one,
+             -1 / 3, 5e-324]
+    return np.array(parts, dtype=float).reshape(4, 4) + 1j * np.array(parts[::-1]).reshape(4, 4)
+
+
+@pytest.mark.parametrize("m", [1, 5, 24])
+@pytest.mark.parametrize("lift", ["kron", "placement"])
+def test_float_array_writes_lift_shaped_data_as_json_dumps(m, lift):
+    """kron writes x * 0.0 off the stripes, -0.0 for a negative x, which makes
+    most entries nonzero; placement, as ``space.lift_left`` builds a lift,
+    leaves them +0.0."""
+    core = _twin_core()
+    if lift == "kron":
+        a = np.kron(core, np.eye(m))
+    else:
+        a = np.zeros((4, m, 4, m), dtype=complex)
+        a[:, np.arange(m), :, np.arange(m)] = core
+    data = a.reshape(-1).view(float)
+    assert jsonio._float_array(data) == json.dumps(data.tolist())
+    assert jsonio._float_array(data.copy()) == json.dumps(data.tolist())
+
+
+def test_float_array_formats_each_distinct_value_once():
+    core = _twin_core()
+    data = np.zeros((4, 24, 4, 24), dtype=complex)
+    data[:, np.arange(24), :, np.arange(24)] = core
+    data = data.reshape(-1).view(float)
+    calls = []
+
+    def recording_repr(x):
+        calls.append(x)
+        return float.__repr__(x)
+
+    with mock.patch.object(jsonio, "repr", recording_repr, create=True):
+        assert jsonio._float_array(data) == json.dumps(data.tolist())
+    bits = data.view(np.int64)
+    assert sorted(np.array(calls).view(np.int64)) == np.unique(bits[bits != 0]).tolist()
 
 
 @pytest.mark.parametrize("a", [
