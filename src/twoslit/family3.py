@@ -53,9 +53,10 @@ def coerce_fields(params):
 
 
 def check_seeds(params):
-    """Raise SeedError for the first seed vector that is zero."""
+    """Raise SeedError for the first seed vector that is zero (every entry,
+    tested without a norm that tiny or huge entries would under- or overflow)."""
     for name in _schema(type(params))[1]:
-        if np.linalg.norm(getattr(params, name)) == 0.0:
+        if not np.count_nonzero(getattr(params, name)):
             raise SeedError(f"{name} must be nonzero")
 
 
@@ -67,6 +68,19 @@ def check_moduli(params):
         if not math.hypot(value.real, value.imag) <= _MAX_MODULUS:
             raise ParamRangeError(f"{name}={value} must be finite with modulus at most "
                                   f"{_MAX_MODULUS:.6g}")
+
+
+def unit_state(psi):
+    """psi / ||psi||, the norm taken of psi scaled by a power of two near its
+    largest modulus, so it neither overflows nor underflows; the scaling
+    changes no bit of the quotient.  ParamRangeError if that modulus is 0 or
+    not finite, as the norm would be."""
+    peak = float(np.abs(psi).max())
+    if not 0 < peak < math.inf:
+        raise ParamRangeError(f"the state's largest modulus is {peak}, so its norm is not "
+                              f"a positive finite number")
+    psi = psi * math.ldexp(1.0, -math.frexp(peak)[1])
+    return psi / np.linalg.norm(psi)
 
 
 def _join_core(pb, qb, w, x2, x3, y2, y3):
@@ -206,8 +220,7 @@ def state(params: Family3Params):
         np.concatenate([z1, z2, z3, d]),
         np.concatenate([z1, z2, g, (-la2 * np.conj(la3) / lden) * d]),
     ]
-    psi = np.concatenate(rows)
-    return psi / np.linalg.norm(psi)
+    return unit_state(np.concatenate(rows))
 
 
 def build(params: Family3Params) -> SolutionBundle:

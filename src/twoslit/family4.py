@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParamRangeError, ZeroDivisorError
-from .family3 import _join_core, check_moduli, check_seeds, coerce_fields, unit_seed
+from .family3 import (_join_core, check_moduli, check_seeds, coerce_fields, unit_seed,
+                      unit_state)
 from .space import ProductSpace, SolutionBundle, assemble
 
 
@@ -272,8 +273,7 @@ def state(params: Family4Params, co: Family4Coefficients = None):
     block[3][5:] = np.outer(gy, params.seed_delta5)
     block[6][5:] = np.outer(hy, params.seed_eta5)
     block[7][5:] = np.outer(sy, params.seed_theta4) + np.outer(ty, params.seed_theta5)
-    psi = np.concatenate(block, axis=1).reshape(-1)
-    return psi / np.linalg.norm(psi)
+    return unit_state(np.concatenate(block, axis=1).reshape(-1))
 
 
 def build(params: Family4Params) -> SolutionBundle:

@@ -14,7 +14,10 @@ property's H_I core off the first stripe, ``op[::dim_ii, ::dim_ii]``, and
 each detector's H_II core off the first diagonal block,
 ``op[:dim_ii, :dim_ii]``, and measures the lift residual
 ``max|op - lift(core)|``: exactly 0 for a lift ``a (x) 1`` or ``1 (x) b``,
-NaN for a NaN entry.  The conditions are read off the cores: with
+NaN for a NaN entry.  It is read off the stripes and the nonzero 64-bit
+words, counted alike on both sides, without building the lift, and scans
+the entries off the stripes in blocks of rows only when some of their words
+are nonzero.  The conditions are read off the cores: with
 ``rows = psi.reshape(dim_i, dim_ii)``, ``(a (x) 1) psi`` is ``a @ rows``,
 ``(1 (x) b) psi`` is ``rows @ b.T``, ``||[a (x) 1, c (x) 1]||_F`` is
 ``sqrt(dim_ii) ||[a, c]||_F`` and ``[a (x) 1, 1 (x) b]`` vanishes.
@@ -285,10 +288,14 @@ def _lift_residual(op, sp, left):
     ``left`` selects ``core (x) 1`` (core ``op[::dim_ii, ::dim_ii]``),
     otherwise ``1 (x) core`` (core ``op[:dim_ii, :dim_ii]``).  The residual
     is exactly 0 for an exact lift, which costs no subtraction, and NaN for
-    a NaN entry.  It is read off the stripes and the count of nonzero
-    entries, without building the lift.
+    a NaN entry.  It is read off the stripes and the nonzero 64-bit words,
+    counted alike on both sides, without building the lift: ``op`` is an
+    exact lift when its nonzero words are all on the stripes and every
+    stripe equals the first by value.  A word is nonzero when its bits are,
+    so a ``-0.0`` off the stripes (``np.kron`` puts them there) is counted
+    and sends ``op`` to the off-stripe scan, where its modulus is 0.
     """
-    op = as_cmatrix(op)
+    op = np.ascontiguousarray(as_cmatrix(op))
     if op.shape != (sp.dim, sp.dim):
         raise DimensionError(f"operator shape {op.shape} does not match space dim {sp.dim}")
     # pairs[k, l] is op's block between H_II indices k, l (left) or H_I indices (right);
@@ -296,16 +303,38 @@ def _lift_residual(op, sp, left):
     pairs = op.reshape(sp.dim_i, sp.dim_ii, sp.dim_i, sp.dim_ii).transpose(
         (1, 3, 0, 2) if left else (0, 2, 1, 3))
     core, stripes = pairs[0, 0].copy(), np.diagonal(pairs)  # stripes[:, :, k] = pairs[k, k]
-    off_stripes = np.count_nonzero(op) != np.count_nonzero(stripes)
-    if not off_stripes and (stripes == core[:, :, None]).all():
+    off_bits = (np.count_nonzero(op.view(np.int64)) - np.count_nonzero(stripes.real.view(np.int64))
+                - np.count_nonzero(stripes.imag.view(np.int64)))  # nonzero words off the stripes
+    if not off_bits and (stripes == core[:, :, None]).all():
         return core, 0.0
     residual = np.max(np.abs(stripes - core[:, :, None]))
-    if off_stripes:
-        off = np.abs(pairs)
-        k = np.arange(len(off))
-        off[k, k] = 0.0
-        residual = np.max([residual, np.max(off)])
+    if off_bits:
+        residual = np.max([residual, _off_stripe_max(op, sp, left)])
     return core, float(residual)
+
+
+_SCAN_ENTRIES = 1 << 15  # entries per block of rows in _off_stripe_max: a 256 KB float temporary
+
+
+def _off_stripe_max(op, sp, left):
+    """The largest modulus among ``op``'s entries off the stripes, NaN if one is NaN.
+
+    Scans blocks of rows, so no float temporary is larger than a block.
+    Row r's stripe entries are its columns ``j * dim_ii + r % dim_ii`` in a
+    left lift and ``r // dim_ii * dim_ii + l`` in a right lift.
+    """
+    m, step = sp.dim_ii, max(1, _SCAN_ENTRIES // sp.dim)
+    block_max = []
+    for start in range(0, sp.dim, step):
+        moduli = np.abs(op[start:start + step]).reshape(-1, sp.dim_i, m)  # [row, j, l]
+        local = np.arange(len(moduli))
+        rows = start + local
+        if left:
+            moduli[local, :, rows % m] = 0.0
+        else:
+            moduli[local, rows // m] = 0.0
+        block_max.append(np.max(moduli))
+    return np.max(block_max)
 
 
 @_quiet

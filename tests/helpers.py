@@ -1,5 +1,7 @@
 """Test helpers shared by several test modules."""
 
+import dataclasses
+
 import numpy as np
 
 from twoslit.errors import DimensionError
@@ -18,3 +20,10 @@ def projector_rank(a, tol=1e-9):
     if abs(tr - r) > tolerance(tol) or r < 0:
         raise DimensionError(f"trace {tr} is not a nonnegative integer within {tol}")
     return int(r)
+
+
+def scaled_seeds(params, exponent):
+    """``params`` with every seed vector multiplied by 2**exponent."""
+    return dataclasses.replace(params, **{f.name: getattr(params, f.name) * 2.0 ** exponent
+                                          for f in dataclasses.fields(params)
+                                          if f.name.startswith("seed_")})

@@ -1,14 +1,15 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import projector_rank
+from helpers import projector_rank, scaled_seeds
 from twoslit import family3, fixtures
 from twoslit.errors import ParamRangeError, SeedError
 from twoslit.linalg import is_hermitian, is_idempotent
-from twoslit.verify import check3, detect_correlations
+from twoslit.verify import check3, detect_correlations, verify_bundle
 
 REF = fixtures.fixture("spin32")
 REF_PARAMS = REF.params
@@ -109,6 +110,29 @@ def test_state_matches_stored_reference():
     psi = family3.state(REF_PARAMS)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
     assert np.max(np.abs(psi - REF.psi)) < 1e-12
+
+
+@pytest.mark.parametrize("exponent", [515, -520, -540])
+def test_state_of_huge_or_tiny_seeds_is_bit_identical(exponent):
+    # psi is linear in the seeds, so seeds scaled by a power of two give the
+    # same unit state.  Unscaled, a norm of entries near 2**515 overflowed to
+    # inf (an all-zero state), near 2**-520 lost bits in subnormal squares,
+    # and near 2**-540 underflowed to 0, so the seeds were refused as zero.
+    params = _random_params(np.random.default_rng(631), seed_dims=(2, 1, 3, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bundle = family3.build(scaled_seeds(params, exponent))
+    assert np.array_equal(bundle.psi.view(np.int64), family3.state(params).view(np.int64))
+    assert verify_bundle(bundle).passed
+
+
+@pytest.mark.parametrize("psi", [np.zeros(4, complex), np.array([1, np.inf, 0], complex),
+                                 np.array([np.nan, 1], complex)], ids=["zero", "inf", "nan"])
+def test_unit_state_refuses_a_zero_or_non_finite_norm(psi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamRangeError, match="norm"):
+            family3.unit_state(psi)
 
 
 def test_state_component_placement_is_forced():

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import projector_rank
+from helpers import projector_rank, scaled_seeds
 from twoslit import family4, fixtures
 from twoslit.errors import DimensionError, ParamRangeError, SeedError
 from twoslit.linalg import is_hermitian, is_idempotent
@@ -105,6 +106,18 @@ def test_state_matches_stored_reference():
     psi = family4.state(REF_PARAMS)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
     assert np.max(np.abs(psi - REF.psi)) < 1e-12
+
+
+@pytest.mark.parametrize("exponent", [515, -520, -540])
+def test_state_of_huge_or_tiny_seeds_is_bit_identical(exponent):
+    # As for family3: seeds scaled by a power of two give the same unit
+    # state, where the unscaled norm overflowed, lost bits or underflowed.
+    params = _random_params(np.random.default_rng(632), seed_dims=(2, 1, 2, 2, 3, 1, 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bundle = family4.build(scaled_seeds(params, exponent))
+    assert np.array_equal(bundle.psi.view(np.int64), family4.state(params).view(np.int64))
+    assert verify_bundle(bundle).passed
 
 
 def test_core_traces_and_ranks():

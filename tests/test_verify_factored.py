@@ -11,6 +11,7 @@ RuntimeWarnings into errors itself.
 
 import dataclasses
 import json
+import tracemalloc
 import types
 import warnings
 
@@ -19,8 +20,9 @@ import pytest
 
 from twoslit import family3, family4, fixtures, jsonio, solver
 from twoslit.errors import ParamRangeError
-from twoslit.space import block_projector, lift_left, lift_right, slit_projector
-from twoslit.verify import check3, check4, detect_correlations, verify_bundle
+from twoslit.space import (ProductSpace, block_projector, lift_left, lift_right,
+                           slit_projector)
+from twoslit.verify import _lift_residual, check3, check4, detect_correlations, verify_bundle
 
 RESIDUAL_TOL = 1e-12
 
@@ -310,3 +312,106 @@ def test_bundles_solver_and_wire_follow_the_pairs_table():
         assert [c for c in ("G_I", "L_I") if getattr(bundle, c) is not None] == cores
         assert list(solver.assemble(slit_projector(sp), bundle.psi, sp).masks) == list(props[1:])
         assert list(jsonio.bundle_to_json(bundle)["core"]) == cores
+
+
+def _kron_lift(op, sp, left):
+    """np.kron of the core on ``op``'s first stripe: the lift as earlier versions
+    built it, with ``-0.0`` off the stripes wherever ``x * 0.0`` gave one."""
+    m = sp.dim_ii
+    if left:
+        return np.kron(op[::m, ::m], np.eye(m))
+    return np.kron(np.eye(sp.dim_i), op[:m, :m])
+
+
+def _stripe_mask(sp, left):
+    """True on the entries of a left (``a (x) 1``) or right (``1 (x) b``) lift's stripes."""
+    r, c = np.indices((sp.dim, sp.dim))
+    m = sp.dim_ii
+    return r % m == c % m if left else r // m == c // m
+
+
+def _lift_case(case, sp, left, rng):
+    n = sp.dim_i if left else sp.dim_ii
+    core = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    core[0, 1] = 0.0
+    op = (lift_left if left else lift_right)(core, sp)
+    off = ~_stripe_mask(sp, left)
+    row, col = _site(sp, left, "off the stripes", rng)
+    if case == "-0.0 off the stripes":
+        op.real[off] = -0.0
+        op.imag[off] = -0.0
+    elif case == "-0.0 on a later stripe only":
+        # core[0, 1] is 0.0 on the first stripe and -0.0 on the second
+        row, col = (1, sp.dim_ii + 1) if left else (sp.dim_ii, sp.dim_ii + 1)
+        assert op[row, col] == 0 and _stripe_mask(sp, left)[row, col]
+        op.real[row, col] = -0.0
+    elif case in ("Fortran-ordered", "non-contiguous"):
+        op[row, col] += 1e-9
+        if case == "Fortran-ordered":
+            op = np.asfortranarray(op)
+        else:
+            holder = np.zeros((sp.dim, 2 * sp.dim), complex)
+            holder[:, 1::2] = op
+            op = holder[:, 1::2]
+    elif case in ("NaN off the stripes", "inf off the stripes"):
+        op[row, col] = np.nan if case.startswith("NaN") else complex(np.inf, -0.0)
+    else:  # one tampered off-stripe entry, among np.kron's -0.0
+        op = _kron_lift(op, sp, left)
+        op[row, col] += 1e-6j
+    return op
+
+
+@pytest.mark.parametrize("name", ["spin32", "dim10"])
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+@pytest.mark.parametrize("case", ["-0.0 off the stripes", "-0.0 on a later stripe only",
+                                  "Fortran-ordered", "non-contiguous", "NaN off the stripes",
+                                  "inf off the stripes", "one tampered off-stripe entry"])
+def test_lift_residual_matches_the_dense_oracle(case, left, name):
+    # The residual read off the 64-bit words equals max|op - kron(core)| to
+    # the bit, and is 0 exactly where the oracle's is, whatever the signs of
+    # op's zeros, its memory layout or its non-finite entries.
+    sp = fixtures.fixture(name).space
+    op = _lift_case(case, sp, left, np.random.default_rng(641))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        core, residual = _lift_residual(op, sp, left)
+    m = sp.dim_ii
+    assert np.array_equal(core, op[::m, ::m] if left else op[:m, :m])
+    oracle = np.max(np.abs(op - _kron_lift(op, sp, left)))
+    assert np.array_equal(residual, oracle, equal_nan=True), (residual, oracle)
+    assert (residual == 0) == case.startswith("-0.0")
+
+
+@pytest.mark.parametrize("name", ["spin32", "dim10"])
+def test_kron_lifted_bundles_verify_as_exact_lifts(name):
+    # A bundle whose lifts np.kron built, as files written before placement
+    # hold them, reports what the placed bundle reports.
+    bundle = fixtures.fixture_bundle(name)
+    props, dets, _ = zip(*bundle.space.pairs)
+    kron = dataclasses.replace(bundle, **{x: _kron_lift(getattr(bundle, x), bundle.space,
+                                                        x in props)
+                                          for x in props + dets})
+    assert any(np.signbit(getattr(kron, x).real).any() for x in props + dets)
+    assert verify_bundle(kron).to_dict() == verify_bundle(bundle).to_dict()
+
+
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+def test_off_stripe_scan_allocates_under_a_quarter_of_the_operator(left):
+    # An np.kron lift at dim 500 with one tampered off-stripe entry takes the
+    # off-stripe scan over every row; it builds no float temporary the size
+    # of the operator (a quarter of its bytes is half of such a temporary).
+    sp = ProductSpace(10, (12, 13, 12, 13))
+    rng = np.random.default_rng(642)
+    n = sp.dim_i if left else sp.dim_ii
+    core = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    op = _kron_lift((lift_left if left else lift_right)(core, sp), sp, left)
+    row, col = _site(sp, left, "off the stripes", rng)
+    op[row, col] += 1e-9
+    tracemalloc.start()
+    try:
+        _, residual = _lift_residual(op, sp, left)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual == np.max(np.abs(op - _kron_lift(op, sp, left)))
+    assert peak < op.nbytes / 4, (peak, op.nbytes)
